@@ -147,7 +147,10 @@ def main(argv=None) -> int:
         elif args.verb == "sweep":
             grid = None
             if args.mu_grid:
-                grid = [float(tok) for tok in args.mu_grid.split(",")]
+                try:
+                    grid = [float(tok) for tok in args.mu_grid.split(",")]
+                except ValueError as exc:
+                    raise InvalidConfig(f"--mu-grid: {exc}") from None
             rows, mu_star = pipeline.run_sweep(cfg, split=args.split,
                                                mu_grid=grid)
             for mu, cond, val in rows:

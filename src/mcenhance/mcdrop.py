@@ -11,7 +11,7 @@ import numpy as np
 
 from .dsp import FrameConfig, Signal, istft_overlap_add, stft
 from .errors import DimensionMismatch, EmptySamples, InvalidConfig
-from .neural import DropoutStream, MlpModel, forward
+from .neural import DropoutStream, MlpModel, forward, input_layer
 
 
 @dataclass
@@ -160,35 +160,47 @@ def mc_spectral_stats(
 ) -> McSweep:
     """MC sweep over all frames of an utterance at once.
 
-    Matches mc_forward called per frame with frame_index = row, but each
-    pass runs as one batched forward.
+    Matches mc_forward called per frame with frame_index = row (to
+    rounding: a batched GEMM sums in another order), and is bit-identical
+    to stacking all passes and reducing them. The input checks, the
+    z-score and layer 0's affine map and ReLU come before any dropout, so
+    they run once per sweep; each pass draws its masks and runs the
+    remaining layers as one batched forward. The moments accumulate as
+    passes arrive, so memory is O(frames x bins) whatever the pass count.
     """
     _check_tau(model, cfg)
     mag_frames = np.asarray(mag_frames, dtype=np.float64)
     if mag_frames.ndim != 2 or mag_frames.shape[1] != model.in_dim:
         raise DimensionMismatch(
             f"frames {mag_frames.shape} vs model input dim {model.in_dim}")
-    n = mag_frames.shape[0]
 
-    if model.keep_prob == 1.0:
-        # Every pass is the deterministic pass.
+    if model.keep_prob == 1.0 or len(model.weights) == 1:
+        # No unit is ever dropped: every pass is the deterministic pass.
         y, _ = forward(model, mag_frames)
         variances = np.full_like(y, cfg.tau_inv)
         return McSweep(means=y, variances=variances, traces=variances.sum(axis=1))
 
-    samples = np.empty((cfg.n_passes, n, model.out_dim))
+    X, h0 = input_layer(model, mag_frames)
     for t in range(cfg.n_passes):
         stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=0)
-        samples[t], _ = forward(model, mag_frames, stream=stream)
+        y, _ = forward(model, X, stream=stream, first_hidden=h0)
+        if t == 0:
+            first, total, total_sq = y, y.copy(), y * y
+            same = np.ones(len(y), dtype=bool)
+        else:
+            total += y
+            total_sq += y * y
+            same &= np.all(y == first, axis=1)
 
-    means = samples.mean(axis=0)
-    raw = (samples * samples).mean(axis=0) - means * means
+    # mean(axis=0) over stacked passes adds the slices in pass order and
+    # divides by T, so these running sums give the same bits.
+    means = total / cfg.n_passes
+    raw = total_sq / cfg.n_passes - means * means
     variances = cfg.tau_inv + np.maximum(raw, 0.0)
 
     # Frames whose passes all agree get the exact short-circuit values.
-    same = np.all(samples == samples[0], axis=(0, 2))
     if same.any():
-        means[same] = samples[0, same]
+        means[same] = first[same]
         variances[same] = cfg.tau_inv
 
     return McSweep(means=means, variances=variances, traces=variances.sum(axis=1))

@@ -182,15 +182,8 @@ def dropout_mask(
     return (u < keep_prob).astype(np.float64) / keep_prob
 
 
-def forward(
-    model: MlpModel, x: np.ndarray, stream: DropoutStream | None = None
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a vector or a batch of row vectors.
-
-    stream=None is the deterministic mode (no masks, no rescaling);
-    passing a DropoutStream zeroes each hidden unit with probability
-    1 - keep_prob and scales survivors by 1/keep_prob.
-    """
+def _input_rows(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Checked, normalised input as rows, and whether x was one vector."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
@@ -198,27 +191,67 @@ def forward(
         raise DimensionMismatch(f"input shape {x.shape}, expected last dim {model.in_dim}")
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("input contains NaN or inf")
-
     if model.input_mean is not None:
         X = (X - model.input_mean) / model.input_std
+    return X, single
 
-    n_layers = len(model.weights)
+
+def input_layer(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, normalised input rows X and h0 = relu(X W0^T + b0).
+
+    Dropout acts only after hidden ReLUs, so this part of a pass is the
+    same in every stochastic pass; forward(model, X, stream,
+    first_hidden=h0) finishes one pass from it.
+    """
+    if len(model.weights) < 2:
+        raise DimensionMismatch("model has no hidden layer")
+    X, _ = _input_rows(model, x)
+    return X, relu(X @ model.weights[0].T + model.biases[0])
+
+
+def forward(
+    model: MlpModel,
+    x: np.ndarray,
+    stream: DropoutStream | None = None,
+    *,
+    first_hidden: np.ndarray | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a vector or a batch of row vectors.
+
+    stream=None is the deterministic mode (no masks, no rescaling);
+    passing a DropoutStream zeroes each hidden unit with probability
+    1 - keep_prob and scales survivors by 1/keep_prob.
+
+    first_hidden takes X and h0 from input_layer: the input checks, the
+    z-score and layer 0's affine map and ReLU are skipped, and the pass
+    starts at layer 0's dropout.
+    """
+    if first_hidden is None:
+        X, single = _input_rows(model, x)
+    else:
+        X, single = x, False
+
     zs, hiddens, masks = [], [X], []
     h = X
-    for l in range(n_layers):
-        z = h @ model.weights[l].T + model.biases[l]
-        zs.append(z)
-        if l < n_layers - 1:
-            h = relu(z)
-            if stream is not None and model.keep_prob < 1.0:
-                mask = dropout_mask(stream, l, X.shape[0], z.shape[1], model.keep_prob)
-                h = h * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
-            hiddens.append(h)
+    for l in range(len(model.weights) - 1):
+        if l == 0 and first_hidden is not None:
+            # relu(z) > 0 exactly where z > 0, so backward reads the
+            # same ReLU gates from h0 as from layer 0's pre-activation.
+            z = h = first_hidden
         else:
-            y = relu(z) if model.output_activation == "relu" else softmax(z)
+            z = h @ model.weights[l].T + model.biases[l]
+            h = relu(z)
+        zs.append(z)
+        if stream is not None and model.keep_prob < 1.0:
+            mask = dropout_mask(stream, l, X.shape[0], z.shape[1], model.keep_prob)
+            h = h * mask
+            masks.append(mask)
+        else:
+            masks.append(None)
+        hiddens.append(h)
+    z = h @ model.weights[-1].T + model.biases[-1]
+    zs.append(z)
+    y = relu(z) if model.output_activation == "relu" else softmax(z)
     cache = ForwardCache(
         x=X, zs=zs, hiddens=hiddens, masks=masks, y=y,
         layer_dims=tuple(model.layer_dims), single=single,
@@ -487,14 +520,31 @@ def load_model(path) -> MlpModel:
         raise CorruptFile(f"{path}: truncated header")
     try:
         header = json.loads(data[12:12 + hlen].decode("utf-8"))
-        layer_dims = [int(d) for d in header["layer_dims"]]
+        if not isinstance(header, dict):
+            raise TypeError("header is not a JSON object")
+        layer_dims = header["layer_dims"]
+        if (not isinstance(layer_dims, list) or len(layer_dims) < 2
+                or not all(type(d) is int and d > 0 for d in layer_dims)):
+            raise ValueError(f"layer_dims {layer_dims!r}")
         output_activation = header["output_activation"]
+        if output_activation not in ("relu", "softmax"):
+            raise ValueError(f"output_activation {output_activation!r}")
         keep_prob = float(header["keep_prob"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        if not 0.0 < keep_prob <= 1.0:
+            raise ValueError(f"keep_prob {keep_prob}")
+        weight_decay = float(header.get("weight_decay", 0.0))
+        if not 0.0 <= weight_decay < np.inf:
+            raise ValueError(f"weight_decay {weight_decay}")
+        n_train_frames = int(header.get("n_train_frames", 0))
+        seed = int(header.get("seed", 0))
+        noise_label = str(header.get("noise_label", ""))
+        norm = header.get("input_norm", "none")
+        if norm not in ("none", "zscore"):
+            raise ValueError(f"input_norm {norm!r}")
+    except (ValueError, TypeError, KeyError, OverflowError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: bad header ({exc})") from exc
 
     n_params = sum(di * do + do for di, do in zip(layer_dims[:-1], layer_dims[1:]))
-    norm = header.get("input_norm", "none")
     if norm == "zscore":
         n_params += 2 * layer_dims[0]
     body = data[12 + hlen:]
@@ -521,10 +571,10 @@ def load_model(path) -> MlpModel:
         biases=biases,
         output_activation=output_activation,
         keep_prob=keep_prob,
-        weight_decay=float(header.get("weight_decay", 0.0)),
-        n_train_frames=int(header.get("n_train_frames", 0)),
-        seed=int(header.get("seed", 0)),
-        noise_label=str(header.get("noise_label", "")),
+        weight_decay=weight_decay,
+        n_train_frames=n_train_frames,
+        seed=seed,
+        noise_label=noise_label,
         input_mean=input_mean,
         input_std=input_std,
     )

@@ -111,7 +111,17 @@ def make_config(file_data: dict | None = None, overrides: dict | None = None) ->
                 merged[key] = value
     for key in ("mu_grid", "hidden_dims", "policies"):
         if key in merged:
+            if not isinstance(merged[key], (list, tuple)):
+                raise InvalidConfig(f"{key} must be a list, got {merged[key]!r}")
             merged[key] = tuple(merged[key])
+    hidden = merged.get("hidden_dims", ())
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+               for d in hidden):
+        raise InvalidConfig(f"hidden_dims must be positive integers, got {hidden!r}")
+    keep_prob = merged.get("keep_prob", 1.0)
+    if not (isinstance(keep_prob, (int, float)) and not isinstance(keep_prob, bool)
+            and 0.0 < keep_prob <= 1.0):
+        raise InvalidConfig(f"keep_prob must be in (0, 1], got {keep_prob!r}")
     return ExperimentConfig(**merged)
 
 

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcenhance
 from mcenhance.cli import main
 from mcenhance.corpus import entries_for, entry_id, open_dataset
 
@@ -30,10 +34,28 @@ def mini_cli(mini_system, tmp_path):
     return mini_system, flags, tmp_path
 
 
-def test_console_script_help():
+def _console_script_command():
+    """The installed `mcenhance` executable or, in a source tree that is
+    not installed, the `module:function` entry point pyproject.toml
+    declares for it, run the way the generated script runs it."""
     exe = shutil.which("mcenhance")
-    assert exe, "console script not installed"
-    proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+    if exe:
+        return [exe], None
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["mcenhance"]
+    module, func = target.split(":")
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    src = str(Path(mcenhance.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return [sys.executable, "-c", code], env
+
+
+def test_console_script_help():
+    cmd, env = _console_script_command()
+    proc = subprocess.run([*cmd, "--help"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for verb in ("synth", "train", "enhance", "evaluate", "correlate", "sweep"):
         assert verb in proc.stdout
@@ -70,6 +92,27 @@ def test_bad_config_exits_2(tmp_path, capsys):
     bad.write_text(json.dumps({"n_epoch": 3}))
     assert main(["evaluate", "--config", str(bad)]) == 2
     assert "n_epoch" in capsys.readouterr().err
+
+
+def test_non_numeric_mu_grid_exits_2(tmp_path, capsys):
+    assert main(["sweep", "--corpus-dir", str(tmp_path), "--mu-grid", "a,b"]) == 2
+    assert "--mu-grid" in capsys.readouterr().err
+
+
+def test_keep_prob_out_of_range_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for keep_prob in (1.5, 0.0, "0.5"):
+        cfg.write_text(json.dumps({"keep_prob": keep_prob}))
+        assert main(["train", "--config", str(cfg), "single"]) == 2
+        assert "keep_prob" in capsys.readouterr().err
+
+
+def test_non_sequence_hidden_dims_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for hidden_dims in (5, "256", [16, "a"], [16, 0]):
+        cfg.write_text(json.dumps({"hidden_dims": hidden_dims}))
+        assert main(["train", "--config", str(cfg), "single"]) == 2
+        assert "hidden_dims" in capsys.readouterr().err
 
 
 def test_missing_corpus_exits_3(tmp_path):

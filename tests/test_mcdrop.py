@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_model
 from mcenhance.dsp import FrameConfig, Signal
-from mcenhance.errors import DimensionMismatch, EmptySamples, InvalidConfig
+from mcenhance.errors import DimensionMismatch, EmptySamples, InvalidConfig, NonFiniteInput
 from mcenhance.mcdrop import (
     McConfig,
     enhance_deterministic,
@@ -15,7 +17,7 @@ from mcenhance.mcdrop import (
     predictive_variance,
     tau_inverse,
 )
-from mcenhance.neural import forward
+from mcenhance.neural import DropoutStream, forward
 
 
 def brute_mean(samples):
@@ -185,6 +187,114 @@ def test_batched_stats_match_per_frame():
         np.testing.assert_allclose(sweep.means[i], out.mean, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(sweep.variances[i], out.var, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(sweep.traces[i], out.trace_var, rtol=1e-12, atol=1e-15)
+
+
+def materialised_stats(model, mag, cfg):
+    """Stack every pass in one [T, n, bins] array, then reduce it; the
+    oracle the streaming engine must reproduce bit for bit."""
+    mag = np.asarray(mag, dtype=np.float64)
+    samples = np.empty((cfg.n_passes, mag.shape[0], model.out_dim))
+    for t in range(cfg.n_passes):
+        stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=0)
+        samples[t], _ = forward(model, mag, stream=stream)
+    means = samples.mean(axis=0)
+    raw = (samples * samples).mean(axis=0) - means * means
+    variances = cfg.tau_inv + np.maximum(raw, 0.0)
+    same = np.all(samples == samples[0], axis=(0, 2))
+    means[same] = samples[0, same]
+    variances[same] = cfg.tau_inv
+    return means, variances, variances.sum(axis=1)
+
+
+def assert_sweep_matches_oracle(model, mag, cfg):
+    sweep = mc_spectral_stats(model, mag, cfg)
+    means, variances, traces = materialised_stats(model, mag, cfg)
+    np.testing.assert_array_equal(sweep.means, means)
+    np.testing.assert_array_equal(sweep.variances, variances)
+    np.testing.assert_array_equal(sweep.traces, traces)
+    return sweep
+
+
+@pytest.mark.parametrize("n_passes", [1, 2, 7, 50])
+def test_streaming_sweep_bit_exact_on_zscored_deep_model(n_passes):
+    rng = np.random.default_rng(20)
+    model = random_model(rng, (12, 16, 16, 16, 12), keep_prob=0.8)
+    model.input_mean = rng.uniform(0.5, 1.5, size=12)
+    model.input_std = rng.uniform(0.5, 2.0, size=12)
+    mag = rng.uniform(0.0, 3.0, size=(40, 12))
+    sweep = assert_sweep_matches_oracle(
+        model, mag, McConfig(n_passes=n_passes, rng_seed=9))
+    if n_passes > 1:
+        assert np.all(sweep.traces > 0.0)
+
+
+def test_streaming_sweep_bit_exact_with_weight_decay():
+    rng = np.random.default_rng(21)
+    model = random_model(rng, (8, 12, 12, 8), keep_prob=0.7,
+                         weight_decay=1e-3, n_train_frames=500)
+    cfg = mc_for_model(model, McConfig(n_passes=16, rng_seed=2))
+    assert cfg.tau_inv > 0.0
+    mag = rng.uniform(0.0, 2.0, size=(30, 8))
+    sweep = assert_sweep_matches_oracle(model, mag, cfg)
+    assert np.all(sweep.variances >= cfg.tau_inv)
+
+
+def test_streaming_sweep_short_circuits_frames_where_passes_agree():
+    # Negative hidden biases silence every hidden unit on an all-zero
+    # frame, so no mask can reach its output and all passes agree.
+    rng = np.random.default_rng(22)
+    model = random_model(rng, (6, 10, 10, 5), keep_prob=0.7,
+                         weight_decay=1e-3, n_train_frames=200, scale=0.8)
+    model.biases[0] = -0.1 - np.abs(model.biases[0])
+    model.biases[1] = -0.1 - np.abs(model.biases[1])
+    model.biases[2] = 0.1 + np.abs(model.biases[2])
+    cfg = mc_for_model(model, McConfig(n_passes=12, rng_seed=3))
+    mag = rng.uniform(0.0, 3.0, size=(20, 6))
+    mag[::4] = 0.0
+    sweep = assert_sweep_matches_oracle(model, mag, cfg)
+    det, _ = forward(model, mag[::4])
+    np.testing.assert_array_equal(sweep.means[::4], det)
+    np.testing.assert_array_equal(sweep.variances[::4], np.full_like(det, cfg.tau_inv))
+    assert np.any(sweep.variances > cfg.tau_inv)
+
+
+@pytest.mark.parametrize("dims", [(6, 5), (6, 8, 5)])
+def test_sweep_without_dropout_is_the_deterministic_pass(dims):
+    rng = np.random.default_rng(23)
+    keep_prob = 0.8 if len(dims) == 2 else 1.0
+    model = random_model(rng, dims, keep_prob=keep_prob)
+    mag = rng.uniform(0.0, 2.0, size=(9, 6))
+    sweep = mc_spectral_stats(model, mag, McConfig(n_passes=5, rng_seed=1))
+    det, _ = forward(model, mag)
+    np.testing.assert_array_equal(sweep.means, det)
+    np.testing.assert_array_equal(sweep.variances, np.zeros_like(det))
+
+
+def test_streaming_sweep_memory_does_not_grow_with_passes():
+    rng = np.random.default_rng(24)
+    model = random_model(rng, (64, 48, 48, 64), keep_prob=0.8)
+    n, T = 300, 64
+    mag = rng.uniform(0.0, 2.0, size=(n, 64))
+    mc_spectral_stats(model, mag, McConfig(n_passes=2))  # warm caches
+    tracemalloc.start()
+    try:
+        mc_spectral_stats(model, mag, McConfig(n_passes=T))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Stacking the passes alone would take 8*T*n*bins bytes.
+    assert peak < 8 * T * n * model.out_dim / 2
+
+
+def test_sweep_rejects_non_finite_frames():
+    rng = np.random.default_rng(25)
+    model = random_model(rng, (6, 8, 8, 6), keep_prob=0.8)
+    mag = rng.uniform(0.0, 2.0, size=(10, 6))
+    for bad in (np.nan, np.inf):
+        frames = mag.copy()
+        frames[4, 2] = bad
+        with pytest.raises(NonFiniteInput):
+            mc_spectral_stats(model, frames, McConfig(n_passes=3))
 
 
 def test_mc_config_validation():

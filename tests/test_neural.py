@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from mcenhance.neural import (
     forward,
     init_adam_state,
     init_model,
+    input_layer,
     load_model,
     msle_grad,
     msle_loss,
@@ -273,6 +276,35 @@ def test_forward_dropout_changes_between_passes():
     assert not np.array_equal(y0, y1)
 
 
+def test_forward_from_first_hidden_matches_full_pass():
+    rng = np.random.default_rng(49)
+    model = random_model(rng, (5, 9, 9, 4), keep_prob=0.6)
+    model.input_mean = rng.uniform(0.5, 1.5, size=5)
+    model.input_std = rng.uniform(0.5, 2.0, size=5)
+    x = rng.uniform(0.0, 2.0, size=(7, 5))
+    X, h0 = input_layer(model, x)
+    for stream in (None, DropoutStream(seed=2, pass_index=3)):
+        y, cache = forward(model, x, stream=stream)
+        y_h, cache_h = forward(model, X, stream=stream, first_hidden=h0)
+        np.testing.assert_array_equal(y_h, y)
+        g = rng.standard_normal(y.shape)
+        grads, grads_h = backward(model, cache, g), backward(model, cache_h, g)
+        for a, b in zip(grads.dweights + grads.dbiases,
+                        grads_h.dweights + grads_h.dbiases):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_input_layer_checks_input_and_needs_a_hidden_layer():
+    rng = np.random.default_rng(50)
+    model = random_model(rng, (5, 9, 4))
+    with pytest.raises(NonFiniteInput):
+        input_layer(model, np.array([[0.0, 1.0, np.nan, 0.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        input_layer(model, np.zeros((2, 6)))
+    with pytest.raises(DimensionMismatch):
+        input_layer(random_model(rng, (5, 4)), np.zeros((2, 5)))
+
+
 def test_train_regressor_converges_and_logs_losses():
     rng = np.random.default_rng(49)
     clean = rng.uniform(0.0, 2.0, size=(400, 12))
@@ -391,6 +423,37 @@ def test_model_file_corruption_detected(tmp_path):
     version.write_bytes(raw[:4] + (99).to_bytes(4, "little") + raw[8:])
     with pytest.raises(VersionMismatch):
         load_model(version)
+
+
+def _with_header(raw, edit):
+    """Model bytes with the JSON header replaced by edit(header)."""
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + hlen])
+    blob = json.dumps(edit(header)).encode()
+    return raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {**h, "layer_dims": 5},
+    lambda h: {**h, "layer_dims": [3, "5", 2]},
+    lambda h: {**h, "keep_prob": None},
+    lambda h: {**h, "keep_prob": 1.5},
+    lambda h: {**h, "output_activation": "tanh"},
+    lambda h: {**h, "weight_decay": "x"},
+    lambda h: {**h, "seed": 1e400},
+    lambda h: {**h, "input_norm": ["zscore"]},
+    lambda h: list(h),
+    lambda h: "model",
+], ids=["dims-int", "dims-str", "keep-null", "keep-range", "activation",
+        "decay-str", "seed-inf", "norm-list", "header-list", "header-str"])
+def test_model_header_wrong_types_are_corrupt(tmp_path, edit):
+    rng = np.random.default_rng(55)
+    path = tmp_path / "m.model"
+    save_model(random_model(rng, (3, 5, 2)), path)
+    bad = tmp_path / "bad.model"
+    bad.write_bytes(_with_header(path.read_bytes(), edit))
+    with pytest.raises(CorruptFile):
+        load_model(bad)
 
 
 def test_init_model_reproducible():
