@@ -24,9 +24,7 @@ _EXPORTS = {
     "save_model": "neural",
     "load_model": "neural",
     "McConfig": "mcdrop",
-    "McOutput": "mcdrop",
     "McSweep": "mcdrop",
-    "mc_forward": "mcdrop",
     "mc_spectral_stats": "mcdrop",
     "tau_inverse": "mcdrop",
     "enhance_single_mc": "mcdrop",
@@ -36,12 +34,8 @@ _EXPORTS = {
     "PolicyKind": "selection",
     "SelectionPolicy": "selection",
     "enhance_multi": "selection",
-    "select_var_mc": "selection",
-    "select_mu_mc": "selection",
-    "classify_frame": "selection",
     "save_bank": "selection",
     "load_bank": "selection",
-    "EvalReport": "metrics",
     "sse": "metrics",
     "ssnr": "metrics",
     "variance_error_correlation": "metrics",

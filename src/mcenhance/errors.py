@@ -67,10 +67,6 @@ class VersionMismatch(McenError):
 
 # Monte Carlo inference and selection
 
-class EmptySamples(McenError):
-    """Estimator called with zero Monte Carlo samples."""
-
-
 class EmptyBank(McenError):
     """Model bank contains no models."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import FrameConfig, Signal, istft_overlap_add, stft
-from .errors import DimensionMismatch, EmptySamples, InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 from .neural import DropoutStream, MlpModel, forward, input_layer
 
 
@@ -38,30 +38,18 @@ class McConfig:
 
 
 @dataclass
-class McOutput:
-    """Moments of the stochastic passes for a single input frame."""
-
-    samples: np.ndarray   # [n_passes, dim]
-    mean: np.ndarray      # [dim]
-    var: np.ndarray       # [dim], diagonal only, includes tau_inv
-    trace_var: float
-
-    def as_dict(self) -> dict:
-        return {
-            "samples": self.samples.tolist(),
-            "mean": self.mean.tolist(),
-            "var": self.var.tolist(),
-            "trace_var": self.trace_var,
-        }
-
-
-@dataclass
 class McSweep:
-    """Per-frame moments from one batched MC sweep over an utterance."""
+    """Per-frame moments from one batched MC sweep over an utterance.
+
+    variances = tau_inv + max(mean of y_t^2 - mean^2, 0), with the biased
+    1/T denominator, so tau_inv enters additively. A frame whose passes
+    all agree gets that pass as its mean and exactly tau_inv as its
+    variance.
+    """
 
     means: np.ndarray      # [n_frames, dim]
-    variances: np.ndarray  # [n_frames, dim]
-    traces: np.ndarray     # [n_frames]
+    variances: np.ndarray  # [n_frames, dim], diagonal only
+    traces: np.ndarray     # [n_frames], sum of variances
 
 
 def tau_inverse(model: MlpModel, prior_length_scale: float = 1.0) -> float:
@@ -97,76 +85,19 @@ def _check_tau(model: MlpModel, cfg: McConfig) -> None:
                 f"tau_inv must be {expected}, got {cfg.tau_inv}")
 
 
-def predictive_mean(samples: np.ndarray) -> np.ndarray:
-    """Average over passes; exact when every pass agrees."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise DimensionMismatch(f"expected [n_passes, dim], got {samples.shape}")
-    if samples.shape[0] == 0:
-        raise EmptySamples("no MC samples")
-    if np.all(samples == samples[0]):
-        return samples[0].copy()
-    return samples.mean(axis=0)
-
-
-def predictive_variance(
-    samples: np.ndarray, tau_inv: float = 0.0
-) -> tuple[np.ndarray, float]:
-    """Diagonal predictive variance and its trace.
-
-    var[d] = tau_inv + (1/T) sum_t s_t[d]^2 - mean[d]^2 with the biased
-    T denominator. Identical passes short-circuit to exactly tau_inv per
-    dimension, and tau_inv enters additively, so var(tau) == var(0) + tau.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise DimensionMismatch(f"expected [n_passes, dim], got {samples.shape}")
-    if samples.shape[0] == 0:
-        raise EmptySamples("no MC samples")
-    if tau_inv < 0:
-        raise InvalidConfig("tau_inv must be nonnegative")
-    if np.all(samples == samples[0]):
-        var = np.full(samples.shape[1], tau_inv)
-        return var, float(var.sum())
-    mean = samples.mean(axis=0)
-    raw = (samples * samples).mean(axis=0) - mean * mean
-    var = tau_inv + np.maximum(raw, 0.0)
-    return var, float(var.sum())
-
-
-def mc_forward(
-    model: MlpModel, x: np.ndarray, cfg: McConfig, frame_index: int = 0
-) -> McOutput:
-    """Run n_passes stochastic passes on one input vector.
-
-    frame_index pins the dropout mask rows, so pass t of frame i here
-    draws the same masks as row i of pass t in the batched sweep.
-    """
-    _check_tau(model, cfg)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
-    samples = np.empty((cfg.n_passes, model.out_dim))
-    for t in range(cfg.n_passes):
-        stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=frame_index)
-        samples[t], _ = forward(model, x, stream=stream)
-    mean = predictive_mean(samples)
-    var, trace = predictive_variance(samples, cfg.tau_inv)
-    return McOutput(samples=samples, mean=mean, var=var, trace_var=trace)
-
-
 def mc_spectral_stats(
     model: MlpModel, mag_frames: np.ndarray, cfg: McConfig
 ) -> McSweep:
     """MC sweep over all frames of an utterance at once.
 
-    Matches mc_forward called per frame with frame_index = row (to
-    rounding: a batched GEMM sums in another order), and is bit-identical
-    to stacking all passes and reducing them. The input checks, the
-    z-score and layer 0's affine map and ReLU come before any dropout, so
-    they run once per sweep; each pass draws its masks and runs the
-    remaining layers as one batched forward. The moments accumulate as
-    passes arrive, so memory is O(frames x bins) whatever the pass count.
+    Bit-identical to stacking all passes and reducing them, and equal to
+    rounding to the per-frame reference (one frame at a time, masks
+    pinned by its row); both oracles live in tests/test_mcdrop.py. The
+    input checks, the z-score and layer 0's affine map and ReLU come
+    before any dropout, so they run once per sweep; each pass draws its
+    masks and runs the remaining layers as one batched forward. The
+    moments accumulate as passes arrive, so memory is O(frames x bins)
+    whatever the pass count.
     """
     _check_tau(model, cfg)
     mag_frames = np.asarray(mag_frames, dtype=np.float64)

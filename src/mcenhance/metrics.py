@@ -3,8 +3,6 @@ waveforms, variance/error correlation, and the mu threshold sweep."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dsp import FrameConfig, Signal, frame_signal, stft
@@ -29,18 +27,6 @@ from .selection import (
 SSNR_FLOOR_DB = -10.0
 SSNR_CEIL_DB = 35.0
 SILENCE_ENERGY = 1e-10
-
-
-@dataclass
-class EvalReport:
-    """Metrics for one (clean, estimate) pair."""
-
-    sse: float
-    ssnr_db: float
-    n_frames: int
-    per_frame_se: np.ndarray
-    per_frame_trace_var: np.ndarray | None = None
-    pearson_r: float | None = None
 
 
 def sse(ref_mag: np.ndarray, est_mag: np.ndarray) -> tuple[float, np.ndarray]:
@@ -92,28 +78,6 @@ def variance_error_correlation(
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def evaluate_pair(
-    clean_mag: np.ndarray,
-    est_mag: np.ndarray,
-    clean: Signal,
-    estimate: Signal,
-    frame_cfg: FrameConfig,
-    per_frame_trace_var: np.ndarray | None = None,
-) -> EvalReport:
-    """Bundle the metrics for one enhanced utterance."""
-    total, per_frame = sse(clean_mag, est_mag)
-    report = EvalReport(
-        sse=total,
-        ssnr_db=ssnr(clean, estimate, frame_cfg),
-        n_frames=per_frame.size,
-        per_frame_se=per_frame,
-        per_frame_trace_var=per_frame_trace_var,
-    )
-    if per_frame_trace_var is not None:
-        report.pearson_r = variance_error_correlation(per_frame, per_frame_trace_var)
-    return report
-
-
 def threshold_sweep(
     bank: ModelBank,
     test_set: list,
@@ -124,8 +88,9 @@ def threshold_sweep(
     """SSE of the mu-switched policy at each threshold.
 
     test_set holds (condition, noisy Signal, clean Signal) triples. One MC
-    sweep per (file, model) is cached and reused for every mu: routing is
-    a pure function of the cached traces and posteriors. Returns rows of
+    sweep per (file, model) is reduced to per-frame squared errors [M, n]
+    and cached; routing is a pure function of the cached traces and
+    posteriors, so each mu only indexes that array. Returns rows of
     (mu, condition, sse) where sse is the mean of per-file totals,
     ordered by mu then by first appearance of the condition.
     """
@@ -144,19 +109,18 @@ def threshold_sweep(
         mag = stft(noisy, frame_cfg).magnitude
         clean_mag = stft(clean, frame_cfg).magnitude
         means, traces = sweep_bank(bank, mag, mc)
+        se = np.stack([sse(clean_mag, m)[1] for m in means])
         posteriors, _ = forward(bank.classifier, mag)
-        cached.append((condition, clean_mag, means, traces, posteriors))
+        cached.append((condition, se, traces, posteriors))
 
     rows = []
     for mu in mu_values:
         policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=float(mu), mc=mc)
         totals = {c: [] for c in conditions}
-        for condition, clean_mag, means, traces, posteriors in cached:
-            n = clean_mag.shape[0]
+        for condition, se, traces, posteriors in cached:
+            n = se.shape[1]
             chosen, _ = route_frames(policy, traces, posteriors, n)
-            est = means[chosen, np.arange(n)]
-            total, _ = sse(clean_mag, est)
-            totals[condition].append(total)
+            totals[condition].append(float(se[chosen, np.arange(n)].sum()))
         for condition in conditions:
             rows.append((float(mu), condition, float(np.mean(totals[condition]))))
     return rows

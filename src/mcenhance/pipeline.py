@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,11 +41,12 @@ from .selection import (
     SelectionPolicy,
     decisions_to_csv,
     enhance_multi,
+    gather_deterministic,
     load_bank,
     route_frames,
     save_bank,
-    select_frames,
     sweep_bank,
+    validate_bank,
 )
 
 POLICY_NAMES = ("single-conv", "single-mc", "class-conv", "class-mc",
@@ -97,6 +99,54 @@ class ExperimentConfig:
     policies: tuple = POLICY_NAMES
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    try:
+        return (isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and math.isfinite(v))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+
+# Accepted values per config field, as (test, description). The ranges
+# are those the constructors downstream enforce, checked up front so a
+# bad value is a config error rather than a failure deep inside a verb.
+_FIELD_CHECKS = {
+    "corpus_dir": _STRING,
+    "models_dir": _STRING,
+    "reports_dir": _STRING,
+    "seed": _COUNT,
+    "n_passes": _POSITIVE,
+    "mu": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "mu_grid": (lambda v: len(v) > 0 and all(_is_finite(m) for m in v)
+                and all(a <= b for a, b in zip(v, v[1:])),
+                "a nonempty ascending list of finite numbers"),
+    "hidden_dims": (lambda v: all(_is_int(d) and d > 0 for d in v),
+                    "a list of positive integers"),
+    "keep_prob": (lambda v: _is_finite(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "n_epochs": _COUNT,
+    "batch_size": _POSITIVE,
+    "learning_rate": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "weight_decay": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "optimizer": (lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
+    "input_norm": (lambda v: v in ("none", "zscore"), "'none' or 'zscore'"),
+    "n_train": _COUNT,
+    "n_val": _COUNT,
+    "n_test": _COUNT,
+    "duration_s": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "separate_baseline": (lambda v: isinstance(v, bool), "true or false"),
+    "policies": (lambda v: all(p in POLICY_NAMES for p in v),
+                 f"a list of policy names ({', '.join(POLICY_NAMES)})"),
+}
+
+
 def make_config(file_data: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Defaults, then config-file keys, then explicit flag overrides."""
     known = {f.name for f in fields(ExperimentConfig)}
@@ -114,14 +164,10 @@ def make_config(file_data: dict | None = None, overrides: dict | None = None) ->
             if not isinstance(merged[key], (list, tuple)):
                 raise InvalidConfig(f"{key} must be a list, got {merged[key]!r}")
             merged[key] = tuple(merged[key])
-    hidden = merged.get("hidden_dims", ())
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
-               for d in hidden):
-        raise InvalidConfig(f"hidden_dims must be positive integers, got {hidden!r}")
-    keep_prob = merged.get("keep_prob", 1.0)
-    if not (isinstance(keep_prob, (int, float)) and not isinstance(keep_prob, bool)
-            and 0.0 < keep_prob <= 1.0):
-        raise InvalidConfig(f"keep_prob must be in (0, 1], got {keep_prob!r}")
+    for key, value in merged.items():
+        test, what = _FIELD_CHECKS[key]
+        if not test(value):
+            raise InvalidConfig(f"{key} must be {what}, got {value!r}")
     return ExperimentConfig(**merged)
 
 
@@ -373,8 +419,11 @@ def run_evaluate(
     mc = _mc_cfg(cfg)
     mu_val = resolve_mu(cfg, mu)
 
-    needs_bank = any(p in BANK_POLICIES for p in policies)
-    bank = load_bank(cfg.models_dir) if needs_bank else None
+    needs_sweep = any(p in ("class-mc", "var-mc", "mu-mc") for p in policies)
+    needs_classifier = any(p in ("class-conv", "class-mc", "mu-mc") for p in policies)
+    bank = load_bank(cfg.models_dir) if needs_sweep or needs_classifier else None
+    if needs_classifier:
+        validate_bank(bank, need_classifier=True)
     single = _load_single_model(cfg.models_dir) if "single-mc" in policies else None
     baseline = (_load_single_model(cfg.models_dir, prefer_baseline=True)
                 if "single-conv" in policies else None)
@@ -395,8 +444,9 @@ def run_evaluate(
             n = mag.shape[0]
 
             means = traces = posteriors = None
-            if needs_bank:
+            if needs_sweep:
                 means, traces = sweep_bank(bank, mag, mc)
+            if needs_classifier:
                 posteriors, _ = forward(bank.classifier, mag)
 
             for p in policies:
@@ -405,8 +455,9 @@ def run_evaluate(
                 elif p == "single-mc":
                     est = mc_spectral_stats(single, mag, mc_for_model(single, mc)).means
                 elif p == "class-conv":
-                    est, _ = select_frames(
-                        bank, mag, SelectionPolicy(PolicyKind.CLASSIFIER_CONV, mc=mc))
+                    chosen, _ = route_frames(
+                        SelectionPolicy(PolicyKind.CLASSIFIER_CONV), None, posteriors, n)
+                    est = gather_deterministic(bank, mag, chosen)
                 else:
                     policy = SelectionPolicy(PolicyKind(p), mu=mu_val, mc=mc)
                     chosen, _ = route_frames(policy, traces, posteriors, n)

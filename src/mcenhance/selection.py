@@ -20,7 +20,7 @@ from .errors import (
     LengthMismatch,
     MissingModels,
 )
-from .mcdrop import McConfig, McOutput, mc_for_model, mc_forward, mc_spectral_stats
+from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from .neural import MlpModel, forward, load_model, save_model
 
 BANK_MANIFEST = "bank.json"
@@ -154,65 +154,11 @@ def load_bank(dir_path) -> ModelBank:
     return bank
 
 
-def classify_frame(bank: ModelBank, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Deterministic classifier pass; ties break to the lowest index."""
-    validate_bank(bank, need_classifier=True)
-    posteriors, _ = forward(bank.classifier, np.asarray(x, dtype=np.float64))
-    return int(np.argmax(posteriors)), posteriors
-
-
-def select_var_mc(
-    bank: ModelBank, x: np.ndarray, mc: McConfig, frame_index: int = 0
-) -> tuple[int, McOutput, FrameDecision]:
-    """Run every model's MC sweep on one frame and keep the least
-    uncertain one."""
-    validate_bank(bank)
-    outputs = [mc_forward(m, x, mc_for_model(m, mc), frame_index=frame_index)
-               for m in bank.models]
-    traces = np.array([o.trace_var for o in outputs])
-    i_star = int(np.argmin(traces))
-    decision = FrameDecision(
-        frame_index=frame_index,
-        chosen_model=i_star,
-        route=ROUTE_VARIANCE,
-        trace_vars=traces,
-    )
-    return i_star, outputs[i_star], decision
-
-
-def select_mu_mc(
-    bank: ModelBank, x: np.ndarray, policy: SelectionPolicy, frame_index: int = 0
-) -> tuple[int, McOutput, FrameDecision]:
-    """Variance routing only when every model is uncertain (min trace
-    strictly above mu); otherwise defer to the classifier. The chosen
-    model's already-computed samples are reused either way."""
-    if policy.kind is not PolicyKind.MU_MC:
-        raise InvalidConfig(f"policy kind {policy.kind} is not mu-mc")
-    validate_bank(bank, need_classifier=True)
-    outputs = [mc_forward(m, x, mc_for_model(m, policy.mc), frame_index=frame_index)
-               for m in bank.models]
-    traces = np.array([o.trace_var for o in outputs])
-    c_star, posteriors = classify_frame(bank, x)
-    if traces.min() > policy.mu:
-        route, chosen = ROUTE_VARIANCE, int(np.argmin(traces))
-    else:
-        route, chosen = ROUTE_CLASSIFIER, c_star
-    decision = FrameDecision(
-        frame_index=frame_index,
-        chosen_model=chosen,
-        route=route,
-        trace_vars=traces,
-        posteriors=posteriors,
-    )
-    return chosen, outputs[chosen], decision
-
-
 def enhance_multi(
     bank: ModelBank, noisy: Signal, policy: SelectionPolicy, frame_cfg: FrameConfig
 ) -> tuple[Signal, list]:
     """Apply a bank policy frame by frame and reconstruct with the noisy
-    phase. Equivalent to the per-frame select_* ops, but each model is
-    swept over all frames in one batch."""
+    phase; each model is swept over all frames in one batch."""
     frames = stft(noisy, frame_cfg)
     out_mag, decisions = select_frames(bank, frames.magnitude, policy)
     return istft_overlap_add(out_mag, frames.phase, frame_cfg), decisions
@@ -268,7 +214,7 @@ def select_frames(
     else:
         chosen, var_route = route_frames(policy, None, posteriors, n)
         if policy.kind is PolicyKind.CLASSIFIER_CONV:
-            out_mag = _gather_deterministic(bank, mag, chosen)
+            out_mag = gather_deterministic(bank, mag, chosen)
         else:
             out_mag = _gather_mc_means(bank, mag, chosen, policy.mc)
 
@@ -311,7 +257,9 @@ def _gather_mc_means(bank, mag, chosen, mc) -> np.ndarray:
     return out
 
 
-def _gather_deterministic(bank, mag, chosen) -> np.ndarray:
+def gather_deterministic(bank, mag, chosen) -> np.ndarray:
+    """Dropout-off output per frame from its chosen model; only the
+    chosen models run."""
     n = mag.shape[0]
     out = np.empty((n, bank.models[0].out_dim))
     for j in np.unique(chosen):

@@ -16,13 +16,7 @@ import pytest
 from mcenhance.corpus import mix_at_snr, noise_spec, synth_noise, synth_speech
 from mcenhance.dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_wav
 from mcenhance.errors import McenError
-from mcenhance.mcdrop import (
-    DropoutStream,
-    McConfig,
-    mc_spectral_stats,
-    predictive_mean,
-    predictive_variance,
-)
+from mcenhance.mcdrop import DropoutStream, McConfig, mc_spectral_stats
 from mcenhance.neural import (
     backward,
     cross_entropy_grad,
@@ -150,16 +144,23 @@ def test_criterion_04_mc_estimators():
     rng = np.random.default_rng(404)
     worst = 0.0
     for _ in range(20):
-        samples = rng.standard_normal((50, 8)) * rng.uniform(0.1, 3.0)
-        mean = predictive_mean(samples)
-        var, trace = predictive_variance(samples, tau_inv=0.0)
+        dims = tuple(int(d) for d in rng.integers(3, 17, size=4))
+        model = random_model(rng, dims, keep_prob=float(rng.uniform(0.5, 0.95)),
+                             scale=float(rng.uniform(0.1, 1.0)))
+        mag = rng.uniform(0.0, 3.0, size=(7, dims[0]))
+        cfg = McConfig(n_passes=50, rng_seed=int(rng.integers(1 << 31)))
+        sweep = mc_spectral_stats(model, mag, cfg)
+        samples = np.stack([
+            forward(model, mag, stream=DropoutStream(seed=cfg.rng_seed, pass_index=t,
+                                                     row_offset=0))[0]
+            for t in range(cfg.n_passes)])
         bf_mean = samples.mean(axis=0)
         bf_var = (samples ** 2).mean(axis=0) - bf_mean ** 2
-        worst = max(worst, float(np.abs(mean - bf_mean).max()),
-                    float(np.abs(var - np.maximum(bf_var, 0.0)).max()),
-                    abs(trace - var.sum()))
-        v_tau, _ = predictive_variance(samples, tau_inv=0.25)
-        additive = np.array_equal(v_tau, var + 0.25)
+        worst = max(worst, float(np.abs(sweep.means - bf_mean).max()),
+                    float(np.abs(sweep.variances - np.maximum(bf_var, 0.0)).max()),
+                    float(np.abs(sweep.traces - sweep.variances.sum(axis=1)).max()))
+        v_tau = mc_spectral_stats(model, mag, replace(cfg, tau_inv=0.25)).variances
+        additive = np.array_equal(v_tau, sweep.variances + 0.25)
         worst = max(worst, 0.0 if additive else np.inf)
 
     model = init_model((6, 12, 12, 5), keep_prob=1.0, seed=9)

@@ -99,20 +99,49 @@ def test_non_numeric_mu_grid_exits_2(tmp_path, capsys):
     assert "--mu-grid" in capsys.readouterr().err
 
 
-def test_keep_prob_out_of_range_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("models_dir", 5),
+    ("seed", "s"),
+    ("seed", -1),
+    ("n_passes", "5"),
+    ("n_passes", 2.5),
+    ("n_passes", 0),
+    ("n_passes", True),
+    ("mu", "x"),
+    ("mu", -0.1),
+    ("mu", 10 ** 400),
+    ("mu_grid", ["a"]),
+    ("mu_grid", "0,1"),
+    ("mu_grid", []),
+    ("mu_grid", [1.0, 0.5]),
+    ("mu_grid", [0.0, float("inf")]),
+    ("hidden_dims", 5),
+    ("hidden_dims", "256"),
+    ("hidden_dims", [16, "a"]),
+    ("hidden_dims", [16, 0]),
+    ("keep_prob", 1.5),
+    ("keep_prob", 0.0),
+    ("keep_prob", "0.5"),
+    ("n_epochs", 1.5),
+    ("batch_size", 0),
+    ("learning_rate", 0.0),
+    ("weight_decay", -1e-4),
+    ("optimizer", "rmsprop"),
+    ("input_norm", "l2"),
+    ("n_train", "3"),
+    ("duration_s", 0),
+    ("separate_baseline", "yes"),
+    ("policies", ["var-mc", "best"]),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, key, value):
+    # Without the check, sweep would stop on the missing corpus (exit 3)
+    # or fail later with a traceback.
     cfg = tmp_path / "cfg.json"
-    for keep_prob in (1.5, 0.0, "0.5"):
-        cfg.write_text(json.dumps({"keep_prob": keep_prob}))
-        assert main(["train", "--config", str(cfg), "single"]) == 2
-        assert "keep_prob" in capsys.readouterr().err
-
-
-def test_non_sequence_hidden_dims_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    for hidden_dims in (5, "256", [16, "a"], [16, 0]):
-        cfg.write_text(json.dumps({"hidden_dims": hidden_dims}))
-        assert main(["train", "--config", str(cfg), "single"]) == 2
-        assert "hidden_dims" in capsys.readouterr().err
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["sweep", "--config", str(cfg), "--corpus-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
 
 
 def test_missing_corpus_exits_3(tmp_path):

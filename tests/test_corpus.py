@@ -7,6 +7,7 @@ from mcenhance.corpus import (
     TRAIN_SNRS_DB,
     DatasetManifest,
     MixEntry,
+    NoiseSpec,
     Utterance,
     build_dataset,
     default_manifest,
@@ -24,7 +25,7 @@ from mcenhance.corpus import (
     validate_manifest,
     write_cache,
 )
-from mcenhance.dsp import FrameConfig, stft
+from mcenhance.dsp import FrameConfig, Signal, read_wav, stft, write_wav
 from mcenhance.errors import (
     CorruptFile,
     InvalidManifest,
@@ -133,6 +134,21 @@ def test_mixed_noise_is_deterministic():
     a = synth_noise(noise_spec("mixed", seed=4), 2.0)
     b = synth_noise(noise_spec("mixed", seed=4), 2.0)
     np.testing.assert_array_equal(a.samples, b.samples)
+
+
+def test_wav_noise_tiles_the_file_rms_normalised(tmp_path):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "noise.wav"
+    write_wav(path, Signal(0.3 * rng.uniform(-1.0, 1.0, size=1000), 16000))
+    source = read_wav(path).samples
+    sig = synth_noise(NoiseSpec("wav", {"path": str(path)}), 0.2)
+    assert len(sig.samples) == 3200
+    tiled = np.concatenate([source, source, source, source[:200]])
+    np.testing.assert_allclose(sig.samples, tiled * (0.1 / np.sqrt(np.mean(tiled ** 2))),
+                               rtol=1e-12)
+    assert np.sqrt(np.mean(sig.samples ** 2)) == pytest.approx(0.1, rel=1e-12)
+    with pytest.raises(InvalidParams):
+        synth_noise(NoiseSpec("wav"), 0.2)
 
 
 def test_default_manifest_structure():

@@ -5,86 +5,54 @@ import pytest
 
 from conftest import random_model
 from mcenhance.dsp import FrameConfig, Signal
-from mcenhance.errors import DimensionMismatch, EmptySamples, InvalidConfig, NonFiniteInput
+from mcenhance.errors import DimensionMismatch, InvalidConfig, NonFiniteInput
 from mcenhance.mcdrop import (
     McConfig,
     enhance_deterministic,
     enhance_single_mc,
     mc_for_model,
-    mc_forward,
     mc_spectral_stats,
-    predictive_mean,
-    predictive_variance,
     tau_inverse,
 )
 from mcenhance.neural import DropoutStream, forward
 
 
-def brute_mean(samples):
-    T = samples.shape[0]
-    return sum(samples[t] for t in range(T)) / T
-
-
-def brute_var(samples, tau_inv):
-    T = samples.shape[0]
-    m = brute_mean(samples)
-    second = sum(samples[t] ** 2 for t in range(T)) / T
-    return tau_inv + (second - m ** 2)
-
-
-def test_estimators_match_brute_force():
-    rng = np.random.default_rng(0)
-    for trial in range(20):
-        samples = rng.uniform(0.0, 3.0, size=(50, 8))
-        tau = float(rng.uniform(0.0, 0.5))
-        m = predictive_mean(samples)
-        v, trace = predictive_variance(samples, tau_inv=tau)
-        np.testing.assert_allclose(m, brute_mean(samples), atol=1e-9)
-        np.testing.assert_allclose(v, brute_var(samples, tau), atol=1e-9)
-        assert trace == pytest.approx(float(np.sum(v)), abs=1e-12)
+def materialised_stats(model, mag, cfg, row_offset=0):
+    """Stack every pass in one [T, n, bins] array, then reduce it; the
+    oracle the streaming engine must reproduce bit for bit. Frame k takes
+    the masks of row row_offset + k, so one frame with row_offset=i is
+    the per-frame reference for row i of a sweep."""
+    mag = np.asarray(mag, dtype=np.float64)
+    samples = np.empty((cfg.n_passes, mag.shape[0], model.out_dim))
+    for t in range(cfg.n_passes):
+        stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=row_offset)
+        samples[t], _ = forward(model, mag, stream=stream)
+    means = samples.mean(axis=0)
+    raw = (samples * samples).mean(axis=0) - means * means
+    variances = cfg.tau_inv + np.maximum(raw, 0.0)
+    same = np.all(samples == samples[0], axis=(0, 2))
+    means[same] = samples[0, same]
+    variances[same] = cfg.tau_inv
+    return means, variances, variances.sum(axis=1)
 
 
 def test_variance_tau_additivity_is_exact():
     rng = np.random.default_rng(1)
-    samples = rng.uniform(0.0, 2.0, size=(50, 8))
-    v0, _ = predictive_variance(samples, tau_inv=0.0)
-    v1, _ = predictive_variance(samples, tau_inv=0.25)
+    model = random_model(rng, (8, 16, 8), keep_prob=0.7)
+    mag = rng.uniform(0.0, 2.0, size=(12, 8))
+    v0 = mc_spectral_stats(model, mag, McConfig(n_passes=50)).variances
+    v1 = mc_spectral_stats(model, mag, McConfig(n_passes=50, tau_inv=0.25)).variances
     np.testing.assert_array_equal(v1, v0 + 0.25)
 
 
 def test_variance_never_negative():
     rng = np.random.default_rng(2)
     for trial in range(50):
-        samples = rng.uniform(0.0, 1.0, size=(5, 4))
-        v, trace = predictive_variance(samples)
-        assert np.all(v >= 0.0)
-        assert trace >= 0.0
-
-
-def test_identical_samples_give_exact_tau():
-    row = np.array([0.3, 1.7, 0.0, 2.4])
-    samples = np.tile(row, (50, 1))
-    m = predictive_mean(samples)
-    np.testing.assert_array_equal(m, row)
-    v, trace = predictive_variance(samples, tau_inv=0.125)
-    np.testing.assert_array_equal(v, np.full(4, 0.125))
-    assert trace == 0.5
-    v0, trace0 = predictive_variance(samples)
-    np.testing.assert_array_equal(v0, np.zeros(4))
-    assert trace0 == 0.0
-
-
-def test_single_sample_variance_is_tau():
-    samples = np.array([[1.0, 2.0, 3.0]])
-    v, trace = predictive_variance(samples, tau_inv=0.5)
-    np.testing.assert_array_equal(v, np.full(3, 0.5))
-
-
-def test_empty_samples_rejected():
-    with pytest.raises(EmptySamples):
-        predictive_mean(np.zeros((0, 4)))
-    with pytest.raises(EmptySamples):
-        predictive_variance(np.zeros((0, 4)))
+        model = random_model(rng, (4, 8, 4), keep_prob=0.6)
+        sweep = mc_spectral_stats(model, rng.uniform(0.0, 1.0, size=(3, 4)),
+                                  McConfig(n_passes=5, rng_seed=trial))
+        assert np.all(sweep.variances >= 0.0)
+        assert np.all(sweep.traces >= 0.0)
 
 
 def test_tau_inverse_formula():
@@ -113,64 +81,42 @@ def test_mc_for_model_pins_tau():
     assert pinned.n_passes == cfg.n_passes
     # using the unpinned config with a regularized model is an error
     with pytest.raises(InvalidConfig):
-        mc_forward(reg, np.ones(4), cfg)
+        mc_spectral_stats(reg, np.ones((1, 4)), cfg)
 
 
-def test_mc_forward_shapes_and_determinism():
+def test_sweep_is_deterministic_per_seed_and_row():
     rng = np.random.default_rng(5)
     model = random_model(rng, (6, 12, 5), keep_prob=0.7)
     x = rng.uniform(0.0, 2.0, size=6)
+    mag = np.tile(x, (4, 1))
     cfg = McConfig(n_passes=9, rng_seed=11)
-    out1 = mc_forward(model, x, cfg)
-    out2 = mc_forward(model, x, cfg)
-    assert out1.samples.shape == (9, 5)
-    assert out1.mean.shape == (5,)
-    assert out1.var.shape == (5,)
-    np.testing.assert_array_equal(out1.samples, out2.samples)
-    assert out1.trace_var == out2.trace_var
+    first = mc_spectral_stats(model, mag, cfg)
+    again = mc_spectral_stats(model, mag, cfg)
+    assert first.means.shape == (4, 5)
+    assert first.variances.shape == (4, 5)
+    assert first.traces.shape == (4,)
+    np.testing.assert_array_equal(first.means, again.means)
+    np.testing.assert_array_equal(first.variances, again.variances)
 
-    other_frame = mc_forward(model, x, cfg, frame_index=3)
-    assert not np.array_equal(out1.samples, other_frame.samples)
+    # Masks are keyed by frame row: the same frame at row 3 differs.
+    assert not np.array_equal(first.means[0], first.means[3])
 
-    other_seed = mc_forward(model, x, McConfig(n_passes=9, rng_seed=12))
-    assert not np.array_equal(out1.samples, other_seed.samples)
-
-
-def test_mc_forward_consistency_with_estimators():
-    rng = np.random.default_rng(6)
-    model = random_model(rng, (5, 16, 4), keep_prob=0.6)
-    x = rng.uniform(0.0, 2.0, size=5)
-    out = mc_forward(model, x, McConfig(n_passes=20, rng_seed=3))
-    np.testing.assert_array_equal(out.mean, predictive_mean(out.samples))
-    v, trace = predictive_variance(out.samples)
-    np.testing.assert_array_equal(out.var, v)
-    assert out.trace_var == trace
-
-
-def test_keep_prob_one_gives_zero_variance_exactly():
-    rng = np.random.default_rng(7)
-    model = random_model(rng, (5, 10, 4), keep_prob=1.0)
-    x = rng.uniform(0.0, 2.0, size=5)
-    out = mc_forward(model, x, McConfig(n_passes=16, rng_seed=0))
-    det, _ = forward(model, x)
-    np.testing.assert_array_equal(out.mean, det)
-    np.testing.assert_array_equal(out.var, np.zeros(4))
-    assert out.trace_var == 0.0
+    other_seed = mc_spectral_stats(model, mag, McConfig(n_passes=9, rng_seed=12))
+    assert not np.array_equal(first.means, other_seed.means)
 
 
 def test_mc_concentrates_with_more_passes():
     rng = np.random.default_rng(8)
     model = random_model(rng, (6, 24, 24, 5), keep_prob=0.8)
-    x = rng.uniform(0.5, 1.5, size=6)
+    x = rng.uniform(0.5, 1.5, size=(1, 6))
     traces = []
     for T in (4, 512):
-        out = mc_forward(model, x, McConfig(n_passes=T, rng_seed=1))
-        traces.append(out.trace_var)
+        traces.append(mc_spectral_stats(model, x, McConfig(n_passes=T, rng_seed=1)).traces[0])
     # trace variance is a population statistic: it stabilizes, and the
     # mean under many passes stays near the truth; crude sanity bound
     assert traces[1] > 0.0
-    big = mc_forward(model, x, McConfig(n_passes=512, rng_seed=2))
-    rel = abs(big.trace_var - traces[1]) / traces[1]
+    big = mc_spectral_stats(model, x, McConfig(n_passes=512, rng_seed=2)).traces[0]
+    rel = abs(big - traces[1]) / traces[1]
     assert rel < 0.35
 
 
@@ -183,27 +129,10 @@ def test_batched_stats_match_per_frame():
     assert sweep.means.shape == (5, 6)
     assert sweep.traces.shape == (5,)
     for i in range(5):
-        out = mc_forward(model, mag[i], cfg, frame_index=i)
-        np.testing.assert_allclose(sweep.means[i], out.mean, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(sweep.variances[i], out.var, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(sweep.traces[i], out.trace_var, rtol=1e-12, atol=1e-15)
-
-
-def materialised_stats(model, mag, cfg):
-    """Stack every pass in one [T, n, bins] array, then reduce it; the
-    oracle the streaming engine must reproduce bit for bit."""
-    mag = np.asarray(mag, dtype=np.float64)
-    samples = np.empty((cfg.n_passes, mag.shape[0], model.out_dim))
-    for t in range(cfg.n_passes):
-        stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=0)
-        samples[t], _ = forward(model, mag, stream=stream)
-    means = samples.mean(axis=0)
-    raw = (samples * samples).mean(axis=0) - means * means
-    variances = cfg.tau_inv + np.maximum(raw, 0.0)
-    same = np.all(samples == samples[0], axis=(0, 2))
-    means[same] = samples[0, same]
-    variances[same] = cfg.tau_inv
-    return means, variances, variances.sum(axis=1)
+        means, variances, traces = materialised_stats(model, mag[i:i + 1], cfg, row_offset=i)
+        np.testing.assert_allclose(sweep.means[i], means[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sweep.variances[i], variances[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(sweep.traces[i], traces[0], rtol=1e-12, atol=1e-15)
 
 
 def assert_sweep_matches_oracle(model, mag, cfg):
@@ -329,10 +258,11 @@ def test_enhance_rejects_wrong_bin_count():
         enhance_deterministic(model, noisy, frame)
 
 
-def test_single_pass_mc_equals_one_stochastic_forward():
+def test_single_pass_sweep_is_one_stochastic_forward():
     rng = np.random.default_rng(12)
     model = random_model(rng, (6, 10, 4), keep_prob=0.7)
-    x = rng.uniform(0.0, 2.0, size=6)
-    out = mc_forward(model, x, McConfig(n_passes=1, rng_seed=5))
-    np.testing.assert_array_equal(out.mean, out.samples[0])
-    np.testing.assert_array_equal(out.var, np.zeros(4))
+    mag = rng.uniform(0.0, 2.0, size=(3, 6))
+    sweep = mc_spectral_stats(model, mag, McConfig(n_passes=1, tau_inv=0.5, rng_seed=5))
+    one, _ = forward(model, mag, stream=DropoutStream(seed=5, pass_index=0, row_offset=0))
+    np.testing.assert_array_equal(sweep.means, one)
+    np.testing.assert_array_equal(sweep.variances, np.full((3, 4), 0.5))

@@ -12,7 +12,6 @@ from mcenhance.errors import (
 )
 from mcenhance.mcdrop import McConfig
 from mcenhance.metrics import (
-    evaluate_pair,
     sse,
     ssnr,
     threshold_sweep,
@@ -118,22 +117,6 @@ def test_correlation_degenerate_inputs():
         variance_error_correlation(np.arange(5.0), np.full(5, 2.0))
     with pytest.raises(LengthMismatch):
         variance_error_correlation(np.arange(4.0), np.arange(5.0))
-
-
-def test_evaluate_pair_bundles_metrics():
-    rng = np.random.default_rng(3)
-    clean_mag = rng.uniform(0, 2, size=(5, CFG.n_bins))
-    est_mag = clean_mag + 0.1
-    clean = _voiced_signal(1152, seed=4)
-    est = Signal(clean.samples + 0.01 * rng.standard_normal(1152), 16000)
-    traces = rng.uniform(0.1, 1.0, size=5)
-    report = evaluate_pair(clean_mag, est_mag, clean, est, CFG,
-                           per_frame_trace_var=traces)
-    total, per_frame = sse(clean_mag, est_mag)
-    assert report.sse == total
-    assert report.n_frames == 5
-    np.testing.assert_array_equal(report.per_frame_se, per_frame)
-    assert report.pearson_r is not None
 
 
 def test_threshold_sweep_requires_ascending_grid():

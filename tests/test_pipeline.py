@@ -1,11 +1,17 @@
-"""Config plumbing, mu resolution, and report helpers."""
+"""Config plumbing, mu resolution, report helpers, the package export
+table, and which work evaluate does for a policy subset."""
 
 import json
+import shutil
+from dataclasses import asdict, replace
 
 import pytest
 
+import mcenhance
+from conftest import MINI
+from mcenhance import mcdrop, pipeline, selection
 from mcenhance.corpus import NOISE_PRESETS, SEEN_NOISES, default_manifest
-from mcenhance.errors import InvalidConfig
+from mcenhance.errors import InvalidConfig, MissingModels
 from mcenhance.pipeline import (
     DEFAULT_MU_GRID,
     POLICY_NAMES,
@@ -16,6 +22,7 @@ from mcenhance.pipeline import (
     load_config_file,
     make_config,
     resolve_mu,
+    run_evaluate,
 )
 
 
@@ -38,6 +45,13 @@ def test_make_config_precedence_and_none_skipping():
     cfg = make_config({"seed": 5, "mu": 0.3}, {"seed": 9, "mu": None})
     assert cfg.seed == 9
     assert cfg.mu == 0.3
+
+
+def test_make_config_accepts_the_defaults_as_json():
+    defaults = {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(ExperimentConfig()).items()}
+    assert make_config(json.loads(json.dumps(defaults))) == ExperimentConfig()
+    assert make_config(json.loads(json.dumps(MINI))) == ExperimentConfig(**MINI)
 
 
 def test_make_config_tuples_sequence_fields():
@@ -128,3 +142,43 @@ def test_write_rows_comment_and_atomicity(tmp_path):
     assert text[1] == "x,y"
     assert text[2] == "1,2"
     assert not list(out.parent.glob("*.tmp"))
+
+
+def test_every_export_resolves():
+    for name in mcenhance.__all__:
+        if name != "__version__":
+            assert mcenhance.__getattr__(name) is not None, name
+
+
+def test_class_conv_evaluate_runs_no_mc_sweep(mini_system, tmp_path, monkeypatch):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    full = [r for r in run_evaluate(cfg) if r["policy"] == "class-conv"]
+
+    calls = []
+    original = mcdrop.mc_spectral_stats
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (mcdrop, selection, pipeline):
+        monkeypatch.setattr(module, "mc_spectral_stats", counted)
+    rows = run_evaluate(cfg, policies=["class-conv"])
+    assert calls == []
+    assert rows == full
+    run_evaluate(cfg, policies=["var-mc"])
+    assert calls  # the counter does see the sweeps
+
+
+def test_evaluate_on_a_bank_without_classifier(mini_system, tmp_path):
+    models = tmp_path / "models"
+    shutil.copytree(mini_system.models_dir, models)
+    (models / "classifier.model").unlink()
+    manifest = json.loads((models / "bank.json").read_text())
+    manifest["classifier_file"] = None
+    (models / "bank.json").write_text(json.dumps(manifest))
+    cfg = replace(mini_system, models_dir=str(models), reports_dir=str(tmp_path))
+    assert [r["policy"] for r in run_evaluate(cfg, policies=["var-mc"])]
+    for policy in ("class-conv", "class-mc", "mu-mc"):
+        with pytest.raises(MissingModels):
+            run_evaluate(cfg, policies=[policy])

@@ -11,24 +11,23 @@ from mcenhance.errors import (
     LengthMismatch,
     MissingModels,
 )
-from mcenhance.mcdrop import McConfig
+from mcenhance.mcdrop import McConfig, mc_for_model
+from mcenhance.neural import forward
 from mcenhance.selection import (
     FrameDecision,
     ModelBank,
     PolicyKind,
     SelectionPolicy,
-    classify_frame,
     decisions_to_csv,
     enhance_multi,
     load_bank,
     route_frames,
     save_bank,
     select_frames,
-    select_mu_mc,
-    select_var_mc,
     sweep_bank,
     validate_bank,
 )
+from test_mcdrop import materialised_stats
 
 
 def make_bank(rng, n_models=3, in_dim=9, keep_prob=0.7, with_classifier=True):
@@ -144,75 +143,73 @@ def test_validate_bank_errors():
                       need_classifier=True)
 
 
-def test_single_model_bank_always_chosen():
-    rng = np.random.default_rng(4)
-    bank = make_bank(rng, n_models=1)
-    x = rng.uniform(0.0, 2.0, size=9)
-    i, out, decision = select_var_mc(bank, x, McConfig(n_passes=4, rng_seed=0))
-    assert i == 0
-    assert decision.chosen_model == 0
-    assert decision.route == "variance"
-    assert decision.trace_vars.shape == (1,)
+def per_frame_select(bank, policy, mag, i):
+    """Per-frame reference for select_frames: frame i on its own, its
+    masks pinned to row i, routed by the policy's rule."""
+    x = mag[i]
+    posteriors, _ = forward(bank.classifier, x)
+    stats = [materialised_stats(m, x[None], mc_for_model(m, policy.mc), row_offset=i)
+             for m in bank.models]
+    traces = np.array([trace[0] for _, _, trace in stats])
+    if policy.kind is PolicyKind.VAR_MC or (
+            policy.kind is PolicyKind.MU_MC and traces.min() > policy.mu):
+        chosen, route = int(np.argmin(traces)), "variance"
+    else:
+        chosen, route = int(np.argmax(posteriors)), "classifier"
+    if policy.kind is PolicyKind.CLASSIFIER_CONV:
+        out, _ = forward(bank.models[chosen], x)
+    else:
+        out = stats[chosen][0][0]
+    return chosen, route, traces, posteriors, out
 
 
-def test_select_var_mc_picks_min_trace():
-    rng = np.random.default_rng(5)
-    bank = make_bank(rng, n_models=4)
-    x = rng.uniform(0.0, 2.0, size=9)
-    mc = McConfig(n_passes=6, rng_seed=1)
-    i, out, decision = select_var_mc(bank, x, mc)
-    assert i == int(np.argmin(decision.trace_vars))
-    assert out.trace_var == decision.trace_vars[i]
-
-
-def test_select_mu_mc_routes_and_reuses_samples():
-    rng = np.random.default_rng(6)
-    bank = make_bank(rng, n_models=3)
-    x = rng.uniform(0.0, 2.0, size=9)
-    mc = McConfig(n_passes=6, rng_seed=2)
-
-    lo = SelectionPolicy(kind=PolicyKind.MU_MC, mu=0.0, mc=mc)
-    i_lo, out_lo, d_lo = select_mu_mc(bank, x, lo)
-    assert d_lo.route == "variance"
-    assert i_lo == int(np.argmin(d_lo.trace_vars))
-
-    hi = SelectionPolicy(kind=PolicyKind.MU_MC, mu=1e9, mc=mc)
-    i_hi, out_hi, d_hi = select_mu_mc(bank, x, hi)
-    assert d_hi.route == "classifier"
-    assert i_hi == int(np.argmax(d_hi.posteriors))
-    # both routes expose the full audit vectors
-    assert d_hi.trace_vars.shape == (3,)
-    assert d_hi.posteriors.shape == (3,)
-
-    wrong_kind = SelectionPolicy(kind=PolicyKind.VAR_MC, mc=mc)
-    with pytest.raises(InvalidConfig):
-        select_mu_mc(bank, x, wrong_kind)
-
-
-def test_classify_frame_matches_posteriors():
-    rng = np.random.default_rng(7)
-    bank = make_bank(rng, n_models=3)
-    x = rng.uniform(0.0, 2.0, size=9)
-    c, post = classify_frame(bank, x)
-    assert c == int(np.argmax(post))
-    assert post.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_select_frames_matches_per_frame_ops():
+@pytest.mark.parametrize("kind, mu", [
+    (PolicyKind.CLASSIFIER_CONV, 0.16),
+    (PolicyKind.CLASSIFIER_MC, 0.16),
+    (PolicyKind.VAR_MC, 0.16),
+    (PolicyKind.MU_MC, 0.0),
+    (PolicyKind.MU_MC, 0.5),
+    (PolicyKind.MU_MC, 1e9),
+])
+def test_select_frames_matches_per_frame_oracle(kind, mu):
     rng = np.random.default_rng(8)
     bank = make_bank(rng, n_models=3)
     mag = rng.uniform(0.0, 2.0, size=(6, 9))
-    mc = McConfig(n_passes=5, rng_seed=3)
-    policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=0.2, mc=mc)
+    policy = SelectionPolicy(kind=kind, mu=mu, mc=McConfig(n_passes=5, rng_seed=3))
     out_mag, decisions = select_frames(bank, mag, policy)
     assert out_mag.shape == mag.shape
     assert len(decisions) == 6
+    routes = set()
     for i, d in enumerate(decisions):
-        ci, out, di = select_mu_mc(bank, mag[i], policy, frame_index=i)
-        assert d.chosen_model == ci
-        assert d.route == di.route
-        np.testing.assert_allclose(d.trace_vars, di.trace_vars, rtol=1e-9)
-        np.testing.assert_allclose(out_mag[i], out.mean, rtol=1e-9, atol=1e-12)
+        chosen, route, traces, posteriors, out = per_frame_select(bank, policy, mag, i)
+        assert d.frame_index == i
+        assert d.chosen_model == chosen
+        assert d.route == route
+        routes.add(route)
+        if kind in (PolicyKind.CLASSIFIER_CONV, PolicyKind.CLASSIFIER_MC):
+            assert d.trace_vars is None
+        else:
+            np.testing.assert_allclose(d.trace_vars, traces, rtol=1e-9)
+        if kind is PolicyKind.VAR_MC:
+            assert d.posteriors is None
+        else:
+            np.testing.assert_allclose(d.posteriors, posteriors, rtol=1e-9)
+            assert d.posteriors.sum() == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(out_mag[i], out, rtol=1e-9, atol=1e-12)
+    if kind is PolicyKind.MU_MC and mu in (0.0, 1e9):
+        assert routes == {"variance" if mu == 0.0 else "classifier"}
+
+
+def test_single_model_bank_always_chosen():
+    rng = np.random.default_rng(4)
+    bank = make_bank(rng, n_models=1)
+    mag = rng.uniform(0.0, 2.0, size=(3, 9))
+    policy = SelectionPolicy(kind=PolicyKind.VAR_MC, mc=McConfig(n_passes=4, rng_seed=0))
+    _, decisions = select_frames(bank, mag, policy)
+    for d in decisions:
+        assert d.chosen_model == 0
+        assert d.route == "variance"
+        assert d.trace_vars.shape == (1,)
 
 
 def test_sweep_bank_shapes():
