@@ -27,13 +27,11 @@ _EXPORTS = {
     "McSweep": "mcdrop",
     "mc_spectral_stats": "mcdrop",
     "tau_inverse": "mcdrop",
-    "enhance_single_mc": "mcdrop",
-    "enhance_deterministic": "mcdrop",
-    "FrameDecision": "selection",
+    "BankOutputs": "selection",
     "ModelBank": "selection",
     "PolicyKind": "selection",
     "SelectionPolicy": "selection",
-    "enhance_multi": "selection",
+    "select_frames": "selection",
     "save_bank": "selection",
     "load_bank": "selection",
     "sse": "metrics",

@@ -319,12 +319,26 @@ def manifest_to_dict(manifest: DatasetManifest) -> dict:
     }
 
 
+# JSON types accepted for each field annotation of the manifest records.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "str | None": (str, type(None))}
+
+
+def _record(cls, data):
+    """cls(**data), once each field given has its JSON type."""
+    for f in dataclasses.fields(cls):
+        value = data[f.name] if f.name in data else None
+        if f.name in data and (isinstance(value, bool)
+                               or not isinstance(value, _JSON_TYPES[f.type])):
+            raise InvalidManifest(f"{cls.__name__}.{f.name} must be {f.type}, got {value!r:.40}")
+    return cls(**data)
+
+
 def manifest_from_dict(data: dict) -> DatasetManifest:
     try:
-        frame = FrameConfig(**data["frame"])
-        utterances = [Utterance(**u) for u in data["utterances"]]
-        entries = [MixEntry(**e) for e in data["entries"]]
-    except (KeyError, TypeError) as exc:
+        frame = _record(FrameConfig, data["frame"])
+        utterances = [_record(Utterance, u) for u in data["utterances"]]
+        entries = [_record(MixEntry, e) for e in data["entries"]]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: FrameConfig ranges
         raise InvalidManifest(f"bad manifest structure: {exc}") from exc
     return DatasetManifest(frame=frame, utterances=utterances, entries=entries)
 
@@ -335,7 +349,7 @@ def load_manifest(path) -> DatasetManifest:
         raise MissingCorpus(f"no manifest at {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise InvalidManifest(f"{path}: {exc}") from exc
     manifest = manifest_from_dict(data)
     validate_manifest(manifest)
@@ -490,9 +504,9 @@ def read_cache(path) -> tuple[np.ndarray, np.ndarray]:
     if version != CACHE_VERSION:
         raise VersionMismatch(f"{path}: cache version {version}")
     n_frames, n_bins = (int(v) for v in np.frombuffer(data[8:16], dtype="<u4"))
+    if len(data) != 16 + 8 * n_frames * n_bins:  # also keeps frombuffer from failing
+        raise CorruptFile(f"{path}: {len(data)} bytes for {n_frames}x{n_bins} frame pairs")
     body = np.frombuffer(data[16:], dtype="<f4")
-    if body.size != 2 * n_frames * n_bins:
-        raise CorruptFile(f"{path}: expected {2 * n_frames * n_bins} floats, got {body.size}")
     noisy = body[:n_frames * n_bins].reshape(n_frames, n_bins).astype(np.float64)
     clean = body[n_frames * n_bins:].reshape(n_frames, n_bins).astype(np.float64)
     return noisy, clean

@@ -1,6 +1,6 @@
-"""Monte Carlo dropout inference: stochastic forward passes, predictive
-mean and diagonal predictive variance, and waveform enhancement built on
-them."""
+"""Monte Carlo dropout inference: stochastic forward passes over an
+utterance, reduced to the predictive mean and the diagonal predictive
+variance per frame."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import FrameConfig, Signal, istft_overlap_add, stft
 from .errors import DimensionMismatch, InvalidConfig
 from .neural import DropoutStream, MlpModel, forward, input_layer
 
@@ -136,28 +135,3 @@ def mc_spectral_stats(
 
     return McSweep(means=means, variances=variances, traces=variances.sum(axis=1))
 
-
-def enhance_single_mc(
-    model: MlpModel, noisy: Signal, cfg: McConfig, frame_cfg: FrameConfig
-) -> Signal:
-    """Enhance with the MC predictive mean spectrum and the noisy phase."""
-    frames = stft(noisy, frame_cfg)
-    _check_model_bins(model, frame_cfg)
-    sweep = mc_spectral_stats(model, frames.magnitude, cfg)
-    return istft_overlap_add(sweep.means, frames.phase, frame_cfg)
-
-
-def enhance_deterministic(
-    model: MlpModel, noisy: Signal, frame_cfg: FrameConfig
-) -> Signal:
-    """Conventional single-pass enhancement (dropout off)."""
-    frames = stft(noisy, frame_cfg)
-    _check_model_bins(model, frame_cfg)
-    mag, _ = forward(model, frames.magnitude)
-    return istft_overlap_add(mag, frames.phase, frame_cfg)
-
-
-def _check_model_bins(model: MlpModel, frame_cfg: FrameConfig) -> None:
-    if model.in_dim != frame_cfg.n_bins or model.out_dim != frame_cfg.n_bins:
-        raise DimensionMismatch(
-            f"model dims {model.in_dim}->{model.out_dim}, frames have {frame_cfg.n_bins} bins")

@@ -115,7 +115,7 @@ def threshold_sweep(
 
     rows = []
     for mu in mu_values:
-        policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=float(mu), mc=mc)
+        policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=float(mu))
         totals = {c: [] for c in conditions}
         for condition, se, traces, posteriors in cached:
             n = se.shape[1]

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,26 +26,18 @@ from .corpus import (
 )
 from .dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_wav
 from .errors import EmptyDataset, InvalidConfig, MissingModels
-from .mcdrop import (
-    McConfig,
-    enhance_deterministic,
-    enhance_single_mc,
-    mc_for_model,
-    mc_spectral_stats,
-)
+from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from .metrics import sse, ssnr, threshold_sweep, variance_error_correlation
 from .neural import TrainConfig, forward, load_model, save_model, train_classifier, train_regressor
 from .selection import (
+    BankOutputs,
     ModelBank,
     PolicyKind,
     SelectionPolicy,
     decisions_to_csv,
-    enhance_multi,
-    gather_deterministic,
     load_bank,
-    route_frames,
     save_bank,
-    sweep_bank,
+    select_frames,
     validate_bank,
 )
 
@@ -330,16 +322,75 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
     return written
 
 
-# -------------------------------------------------------------- enhance
+# ------------------------------------------------------ enhance, evaluate
 
-def _load_single_model(models_dir, prefer_baseline: bool = False):
-    models_dir = Path(models_dir)
-    if prefer_baseline and (models_dir / "baseline.model").exists():
-        return load_model(models_dir / "baseline.model")
-    path = models_dir / "single.model"
-    if not path.exists():
-        raise MissingModels(f"no single-model file at {path}")
-    return load_model(path)
+def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
+    """Explicit value, else the validation-selected one, else the default."""
+    if mu is not None:
+        return mu
+    mu_star_path = Path(cfg.reports_dir) / "mu_star.json"
+    if not mu_star_path.exists():
+        return cfg.mu
+    try:
+        value = json.loads(mu_star_path.read_text())["mu_star"]
+    except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, wrong shape
+        raise InvalidConfig(f"{mu_star_path}: {exc}") from exc
+    test, what = _FIELD_CHECKS["mu"]
+    if not test(value):
+        raise InvalidConfig(f"{mu_star_path}: mu_star must be {what}, got {value!r}")
+    return float(value)
+
+
+@dataclass
+class PolicyModels:
+    """Everything a set of policy names reads, loaded once: the model of
+    each single-model policy, the bank, mu-mc's threshold and the MC
+    config."""
+
+    mc: McConfig
+    mu: float
+    single: dict = field(default_factory=dict)  # single-conv/single-mc -> model
+    bank: ModelBank | None = None
+
+    def enhance(self, name: str, mag: np.ndarray, outputs: BankOutputs | None = None):
+        """Enhanced magnitude frames under one policy, and the bank's
+        decisions (None for the single-model policies). Bank policies route
+        over `outputs`, this utterance's BankOutputs, made here if absent."""
+        model = self.single.get(name)
+        if name == "single-conv":
+            return forward(model, mag)[0], None
+        if name == "single-mc":
+            return mc_spectral_stats(model, mag, mc_for_model(model, self.mc)).means, None
+        outputs = outputs or BankOutputs(self.bank, mag, self.mc)
+        return select_frames(outputs, SelectionPolicy(PolicyKind(name), mu=self.mu))
+
+
+def _policy_names(names) -> set:
+    names = set(names)
+    if not names <= set(POLICY_NAMES):
+        raise InvalidConfig(f"unknown policy {', '.join(sorted(names - set(POLICY_NAMES)))}")
+    return names
+
+
+def load_policy_models(cfg: ExperimentConfig, names, mu: float | None = None) -> PolicyModels:
+    """Check the policy names and load what they read, so every config and
+    model-file error comes before any work."""
+    names = _policy_names(names)
+    models = PolicyModels(mc=_mc_cfg(cfg),
+                          mu=resolve_mu(cfg, mu) if "mu-mc" in names else cfg.mu)
+    if names & set(BANK_POLICIES):
+        models.bank = load_bank(cfg.models_dir)
+        validate_bank(models.bank,
+                      need_classifier=bool(names & {"class-conv", "class-mc", "mu-mc"}))
+    models_dir = Path(cfg.models_dir)
+    for name in names & {"single-conv", "single-mc"}:
+        path = models_dir / "single.model"
+        if name == "single-conv" and (models_dir / "baseline.model").exists():
+            path = models_dir / "baseline.model"
+        if not path.exists():
+            raise MissingModels(f"no single-model file at {path}")
+        models.single[name] = load_model(path)
+    return models
 
 
 def run_enhance(
@@ -351,53 +402,26 @@ def run_enhance(
     decisions_path=None,
 ) -> Path:
     """Enhance one WAV under any of the six policies."""
-    if policy_name not in POLICY_NAMES:
-        raise InvalidConfig(f"unknown policy {policy_name!r}")
-    noisy = read_wav(in_path)
+    models = load_policy_models(cfg, [policy_name], mu)
     frame = FrameConfig()
-    mc = _mc_cfg(cfg)
+    frames = stft(read_wav(in_path), frame)
+    est, decisions = models.enhance(policy_name, frames.magnitude)
     out_path = Path(out_path)
-
-    if policy_name == "single-conv":
-        model = _load_single_model(cfg.models_dir, prefer_baseline=True)
-        out = enhance_deterministic(model, noisy, frame)
-    elif policy_name == "single-mc":
-        model = _load_single_model(cfg.models_dir)
-        out = enhance_single_mc(model, noisy, mc_for_model(model, mc), frame)
-    else:
-        bank = load_bank(cfg.models_dir)
-        policy = SelectionPolicy(
-            kind=PolicyKind(policy_name),
-            mu=cfg.mu if mu is None else mu,
-            mc=mc)
-        out, decisions = enhance_multi(bank, noisy, policy, frame)
-        if decisions_path is None:
-            decisions_path = out_path.with_suffix(".decisions.csv")
-        decisions_to_csv(decisions, bank.labels, decisions_path)
+    if decisions is not None:
+        decisions_to_csv(decisions, models.bank.labels,
+                         decisions_path or out_path.with_suffix(".decisions.csv"))
 
     tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    write_wav(tmp, out)
+    write_wav(tmp, istft_overlap_add(est, frames.phase, frame))
     tmp.replace(out_path)
     return out_path
 
-
-# ------------------------------------------------------------- evaluate
 
 def _group_by_condition(entries) -> dict:
     groups = {}
     for e in entries:
         groups.setdefault((e.noise, e.snr_db), []).append(e)
     return groups
-
-
-def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
-    """Explicit value, else the validation-selected one, else the default."""
-    if mu is not None:
-        return mu
-    mu_star_path = Path(cfg.reports_dir) / "mu_star.json"
-    if mu_star_path.exists():
-        return float(json.loads(mu_star_path.read_text())["mu_star"])
-    return cfg.mu
 
 
 def run_evaluate(
@@ -411,26 +435,10 @@ def run_evaluate(
     Returns dict rows so callers can assert on them directly.
     """
     policies = list(policies if policies is not None else cfg.policies)
-    for p in policies:
-        if p not in POLICY_NAMES:
-            raise InvalidConfig(f"unknown policy {p!r}")
+    _policy_names(policies)  # a usage error comes before a missing corpus
     manifest = open_dataset(cfg.corpus_dir)
     frame = manifest.frame
-    mc = _mc_cfg(cfg)
-    mu_val = resolve_mu(cfg, mu)
-
-    needs_sweep = any(p in ("class-mc", "var-mc", "mu-mc") for p in policies)
-    needs_classifier = any(p in ("class-conv", "class-mc", "mu-mc") for p in policies)
-    bank = load_bank(cfg.models_dir) if needs_sweep or needs_classifier else None
-    if needs_classifier:
-        validate_bank(bank, need_classifier=True)
-    single = _load_single_model(cfg.models_dir) if "single-mc" in policies else None
-    baseline = (_load_single_model(cfg.models_dir, prefer_baseline=True)
-                if "single-conv" in policies else None)
-
-    condition_of = {}
-    for e in entries_for(manifest, split):
-        condition_of[(e.noise, e.snr_db)] = e.condition
+    models = load_policy_models(cfg, policies, mu)
 
     rows = []
     for (noise, snr_db), entries in _group_by_condition(entries_for(manifest, split)).items():
@@ -439,29 +447,11 @@ def run_evaluate(
         for e in entries:
             clean_sig, noisy_sig = load_entry_signals(cfg.corpus_dir, e)
             frames = stft(noisy_sig, frame)
-            mag = frames.magnitude
             clean_mag = stft(clean_sig, frame).magnitude
-            n = mag.shape[0]
-
-            means = traces = posteriors = None
-            if needs_sweep:
-                means, traces = sweep_bank(bank, mag, mc)
-            if needs_classifier:
-                posteriors, _ = forward(bank.classifier, mag)
-
+            outputs = (BankOutputs(models.bank, frames.magnitude, models.mc)
+                       if models.bank else None)
             for p in policies:
-                if p == "single-conv":
-                    est, _ = forward(baseline, mag)
-                elif p == "single-mc":
-                    est = mc_spectral_stats(single, mag, mc_for_model(single, mc)).means
-                elif p == "class-conv":
-                    chosen, _ = route_frames(
-                        SelectionPolicy(PolicyKind.CLASSIFIER_CONV), None, posteriors, n)
-                    est = gather_deterministic(bank, mag, chosen)
-                else:
-                    policy = SelectionPolicy(PolicyKind(p), mu=mu_val, mc=mc)
-                    chosen, _ = route_frames(policy, traces, posteriors, n)
-                    est = means[chosen, np.arange(n)]
+                est, _ = models.enhance(p, frames.magnitude, outputs)
                 total, _ = sse(clean_mag, est)
                 est_sig = istft_overlap_add(est, frames.phase, frame)
                 clean_cut = Signal(samples=clean_sig.samples[:len(est_sig)],
@@ -475,7 +465,7 @@ def run_evaluate(
                 "policy": p,
                 "sse": float(np.mean(sse_acc[p])),
                 "ssnr_db": float(np.mean(ssnr_acc[p])),
-                "tag": condition_of[(noise, snr_db)],
+                "tag": entries[0].condition,  # a function of the noise
                 "n_files": len(entries),
             })
 

@@ -6,12 +6,11 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dsp import FrameConfig, Signal, istft_overlap_add, stft
 from .errors import (
     DimensionMismatch,
     EmptyBank,
@@ -25,9 +24,6 @@ from .neural import MlpModel, forward, load_model, save_model
 
 BANK_MANIFEST = "bank.json"
 
-ROUTE_VARIANCE = "variance"
-ROUTE_CLASSIFIER = "classifier"
-
 
 class PolicyKind(enum.Enum):
     CLASSIFIER_CONV = "class-conv"
@@ -40,22 +36,10 @@ class PolicyKind(enum.Enum):
 class SelectionPolicy:
     kind: PolicyKind
     mu: float = 0.16
-    mc: McConfig = field(default_factory=McConfig)
 
     def __post_init__(self):
         if not np.isfinite(self.mu) or self.mu < 0:
             raise InvalidConfig("mu must be finite and nonnegative")
-
-
-@dataclass
-class FrameDecision:
-    """Audit record for one enhanced frame."""
-
-    frame_index: int
-    chosen_model: int
-    route: str  # ROUTE_VARIANCE or ROUTE_CLASSIFIER
-    trace_vars: np.ndarray | None = None   # [M], absent for classifier-only runs
-    posteriors: np.ndarray | None = None   # [M], absent for pure variance runs
 
 
 @dataclass
@@ -119,18 +103,24 @@ def load_bank(dir_path) -> ModelBank:
         raise MissingModels(f"no {BANK_MANIFEST} in {dir_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-        labels = list(manifest["labels"])
-        model_files = list(manifest["model_files"])
-        keep_probs = list(manifest["keep_probs"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        labels, model_files, keep_probs = (
+            manifest[key] for key in ("labels", "model_files", "keep_probs"))
+        cfile = manifest.get("classifier_file")
+    except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, wrong shape
         raise InvalidManifest(f"{manifest_path}: {exc}") from exc
+    if not (all(isinstance(v, list) and all(isinstance(x, str) for x in v)
+                for v in (labels, model_files))
+            and isinstance(keep_probs, list) and isinstance(cfile, (str, type(None)))):
+        raise InvalidManifest(
+            f"{manifest_path}: labels and model_files must be lists of strings, "
+            "keep_probs a list, classifier_file a string or null")
     if not (len(labels) == len(model_files) == len(keep_probs)):
         raise InvalidManifest(f"{manifest_path}: label/file/keep_prob counts differ")
 
     models = []
     for fname, p in zip(model_files, keep_probs):
         path = dir_path / fname
-        if not path.exists():
+        if not path.is_file():
             raise MissingModels(f"bank references missing file {path}")
         model = load_model(path)
         if model.keep_prob != p:
@@ -142,26 +132,15 @@ def load_bank(dir_path) -> ModelBank:
         models.append(model)
 
     classifier = None
-    cfile = manifest.get("classifier_file")
     if cfile:
         cpath = dir_path / cfile
-        if not cpath.exists():
+        if not cpath.is_file():
             raise MissingModels(f"bank references missing classifier {cpath}")
         classifier = load_model(cpath)
 
     bank = ModelBank(models=models, labels=labels, classifier=classifier)
     validate_bank(bank, need_classifier=classifier is not None)
     return bank
-
-
-def enhance_multi(
-    bank: ModelBank, noisy: Signal, policy: SelectionPolicy, frame_cfg: FrameConfig
-) -> tuple[Signal, list]:
-    """Apply a bank policy frame by frame and reconstruct with the noisy
-    phase; each model is swept over all frames in one batch."""
-    frames = stft(noisy, frame_cfg)
-    out_mag, decisions = select_frames(bank, frames.magnitude, policy)
-    return istft_overlap_add(out_mag, frames.phase, frame_cfg), decisions
 
 
 def route_frames(
@@ -191,85 +170,85 @@ def route_frames(
     return chosen, var_route
 
 
+class BankOutputs:
+    """One utterance's magnitude frames and what a bank makes of them:
+    the classifier posteriors, each expert's MC means and traces, and each
+    expert's dropout-off output. Each is computed the first time a policy
+    asks and then kept, so the policies routed over one object share one
+    sweep per expert. An expert always sweeps the whole frame grid, so its
+    masks match row for row whichever frames chose it.
+    """
+
+    def __init__(self, bank: ModelBank, mag: np.ndarray, mc: McConfig):
+        validate_bank(bank)
+        self.bank, self.mc = bank, mc
+        self.mag = np.asarray(mag, dtype=np.float64)
+        self._kept = {}
+
+    def posteriors(self) -> np.ndarray:
+        """Classifier posteriors [n, M]."""
+        if "posteriors" not in self._kept:
+            validate_bank(self.bank, need_classifier=True)
+            self._kept["posteriors"], _ = forward(self.bank.classifier, self.mag)
+        return self._kept["posteriors"]
+
+    def mc_stats(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Expert j's MC means [n, bins] and trace variances [n]."""
+        if ("mc", j) not in self._kept:
+            model = self.bank.models[j]
+            sweep = mc_spectral_stats(model, self.mag, mc_for_model(model, self.mc))
+            self._kept["mc", j] = (sweep.means, sweep.traces)
+        return self._kept["mc", j]
+
+    def traces(self) -> np.ndarray:
+        """Every expert's trace variances [M, n]."""
+        return np.stack([self.mc_stats(j)[1] for j in range(len(self.bank.models))])
+
+    def deterministic(self, j: int) -> np.ndarray:
+        """Expert j's dropout-off output [n, bins]."""
+        if ("plain", j) not in self._kept:
+            self._kept["plain", j], _ = forward(self.bank.models[j], self.mag)
+        return self._kept["plain", j]
+
+
+@dataclass
+class Decisions:
+    """Per-frame audit of one bank policy over one utterance."""
+
+    chosen: np.ndarray              # [n] model index
+    var_route: np.ndarray           # [n] True where the variance decided
+    traces: np.ndarray | None       # [M, n], absent when no trace was read
+    posteriors: np.ndarray | None   # [n, M], absent for var-mc
+
+
 def select_frames(
-    bank: ModelBank, mag: np.ndarray, policy: SelectionPolicy
-) -> tuple[np.ndarray, list]:
-    """Frame-domain core of enhance_multi: enhanced magnitudes plus the
-    per-frame audit trail, no reconstruction."""
-    needs_classifier = policy.kind in (
-        PolicyKind.CLASSIFIER_CONV, PolicyKind.CLASSIFIER_MC, PolicyKind.MU_MC)
-    validate_bank(bank, need_classifier=needs_classifier)
-    mag = np.asarray(mag, dtype=np.float64)
-    n = mag.shape[0]
-
-    posteriors = None
-    if needs_classifier:
-        posteriors, _ = forward(bank.classifier, mag)
-
-    traces_all = None
-    if policy.kind in (PolicyKind.VAR_MC, PolicyKind.MU_MC):
-        means, traces_all = sweep_bank(bank, mag, policy.mc)
-        chosen, var_route = route_frames(policy, traces_all, posteriors, n)
-        out_mag = means[chosen, np.arange(n)]
-    else:
-        chosen, var_route = route_frames(policy, None, posteriors, n)
-        if policy.kind is PolicyKind.CLASSIFIER_CONV:
-            out_mag = gather_deterministic(bank, mag, chosen)
-        else:
-            out_mag = _gather_mc_means(bank, mag, chosen, policy.mc)
-
-    decisions = []
-    for i in range(n):
-        decisions.append(FrameDecision(
-            frame_index=i,
-            chosen_model=int(chosen[i]),
-            route=ROUTE_VARIANCE if var_route[i] else ROUTE_CLASSIFIER,
-            trace_vars=None if traces_all is None else traces_all[:, i].copy(),
-            posteriors=None if posteriors is None else posteriors[i].copy(),
-        ))
-    return out_mag, decisions
+    outputs: BankOutputs, policy: SelectionPolicy
+) -> tuple[np.ndarray, Decisions]:
+    """Enhanced magnitudes under a bank policy plus its per-frame audit.
+    Only the experts some frame chooses run, unless the policy reads every
+    trace."""
+    kind = policy.kind
+    posteriors = None if kind is PolicyKind.VAR_MC else outputs.posteriors()
+    traces = outputs.traces() if kind in (PolicyKind.VAR_MC, PolicyKind.MU_MC) else None
+    n = len(outputs.mag)
+    chosen, var_route = route_frames(policy, traces, posteriors, n)
+    out = np.empty((n, outputs.bank.models[0].out_dim))
+    for j in np.unique(chosen):
+        rows = chosen == j
+        out[rows] = (outputs.deterministic(j) if kind is PolicyKind.CLASSIFIER_CONV
+                     else outputs.mc_stats(j)[0])[rows]
+    return out, Decisions(chosen, var_route, traces, posteriors)
 
 
 def sweep_bank(bank: ModelBank, mag: np.ndarray, mc: McConfig):
     """MC stats for every model over the whole utterance: means
     [M, n, bins] and trace variances [M, n]."""
-    n = mag.shape[0]
-    means = np.empty((len(bank.models), n, bank.models[0].out_dim))
-    traces = np.empty((len(bank.models), n))
-    for j, model in enumerate(bank.models):
-        sweep = mc_spectral_stats(model, mag, mc_for_model(model, mc))
-        means[j] = sweep.means
-        traces[j] = sweep.traces
-    return means, traces
+    outputs = BankOutputs(bank, mag, mc)
+    traces = outputs.traces()
+    return np.stack([outputs.mc_stats(j)[0] for j in range(len(bank.models))]), traces
 
 
-def _gather_mc_means(bank, mag, chosen, mc) -> np.ndarray:
-    """MC means per frame from its chosen model; models nobody chose are
-    skipped, but each swept model sees the full frame grid so its masks
-    match the all-model sweep row for row."""
-    n = mag.shape[0]
-    out = np.empty((n, bank.models[0].out_dim))
-    for j in np.unique(chosen):
-        model = bank.models[j]
-        sweep = mc_spectral_stats(model, mag, mc_for_model(model, mc))
-        rows = chosen == j
-        out[rows] = sweep.means[rows]
-    return out
-
-
-def gather_deterministic(bank, mag, chosen) -> np.ndarray:
-    """Dropout-off output per frame from its chosen model; only the
-    chosen models run."""
-    n = mag.shape[0]
-    out = np.empty((n, bank.models[0].out_dim))
-    for j in np.unique(chosen):
-        y, _ = forward(bank.models[j], mag)
-        rows = chosen == j
-        out[rows] = y[rows]
-    return out
-
-
-def decisions_to_csv(decisions: list, labels: list, path) -> None:
+def decisions_to_csv(decisions: Decisions, labels: list, path) -> None:
     """frame_index, route, chosen_label, then per-model trace variances
     and posteriors (blank when the policy never computed them)."""
     m_count = len(labels)
@@ -281,11 +260,11 @@ def decisions_to_csv(decisions: list, labels: list, path) -> None:
             ["frame_index", "route", "chosen_label"]
             + [f"trace_var_{j}" for j in range(m_count)]
             + [f"posterior_{j}" for j in range(m_count)])
-        for d in decisions:
-            traces = ([f"{v:.9g}" for v in d.trace_vars]
-                      if d.trace_vars is not None else [""] * m_count)
-            posts = ([f"{v:.9g}" for v in d.posteriors]
-                     if d.posteriors is not None else [""] * m_count)
-            writer.writerow(
-                [d.frame_index, d.route, labels[d.chosen_model]] + traces + posts)
+        for i, j in enumerate(decisions.chosen):
+            traces = ([f"{v:.9g}" for v in decisions.traces[:, i]]
+                      if decisions.traces is not None else [""] * m_count)
+            posts = ([f"{v:.9g}" for v in decisions.posteriors[i]]
+                     if decisions.posteriors is not None else [""] * m_count)
+            route = "variance" if decisions.var_route[i] else "classifier"
+            writer.writerow([i, route, labels[j]] + traces + posts)
     tmp.replace(path)

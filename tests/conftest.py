@@ -1,7 +1,6 @@
 """Shared fixtures: tiny random nets plus a session-scoped miniature
 dataset and model set so integration tests don't retrain per test."""
 
-import numpy as np
 import pytest
 
 from mcenhance.neural import MlpModel

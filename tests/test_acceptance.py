@@ -11,11 +11,9 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from mcenhance.corpus import mix_at_snr, noise_spec, synth_noise, synth_speech
 from mcenhance.dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_wav
-from mcenhance.errors import McenError
 from mcenhance.mcdrop import DropoutStream, McConfig, mc_spectral_stats
 from mcenhance.neural import (
     backward,

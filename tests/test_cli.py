@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcenhance
+from conftest import random_model
 from mcenhance.cli import main
 from mcenhance.corpus import entries_for, entry_id, open_dataset
+from mcenhance.neural import save_model
 
 
 def _noisy_wav(cfg, split="val"):
@@ -146,6 +149,9 @@ def test_bad_config_value_exits_2(tmp_path, capsys, key, value):
 
 def test_missing_corpus_exits_3(tmp_path):
     assert main(["evaluate", "--corpus-dir", str(tmp_path / "empty")]) == 3
+    # An unknown policy is a usage error, reported before the missing corpus.
+    assert main(["evaluate", "--corpus-dir", str(tmp_path / "empty"),
+                 "--policies", "best"]) == 2
 
 
 def test_missing_models_exits_4(mini_cli):
@@ -238,3 +244,107 @@ def test_evaluate_correlate_sweep_write_reports(mini_cli, capsys):
     star = json.loads((reports / "mu_star.json").read_text())
     assert star["mu_star"] in (0.0, 1e9)
     assert star["grid"] == [0.0, 1e9]
+
+
+def _exit_code_and_err(capsys, argv):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, err
+
+
+def test_enhance_with_wrong_bin_count_exits_3(mini_cli, capsys):
+    cfg, flags, tmp = mini_cli
+    models = tmp / "models64"
+    models.mkdir()
+    save_model(random_model(np.random.default_rng(11), (64, 16, 64)), models / "single.model")
+    for policy in ("single-conv", "single-mc"):
+        rc, err = _exit_code_and_err(capsys, [
+            "enhance", *flags, "--models-dir", str(models), policy,
+            _noisy_wav(cfg), str(tmp / "out.wav")])
+        assert rc == 3  # DimensionMismatch
+        assert "64" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"{", b"{}", b'{"mu_star": "x"}', b'{"mu_star": null}', b'{"mu_star": -1}',
+    b'{"mu_star": true}', b"[0.5]", b"\xff\xfe{}",
+])
+def test_bad_mu_star_exits_2(mini_cli, capsys, content):
+    cfg, flags, tmp = mini_cli
+    (tmp / "reports").mkdir()
+    (tmp / "reports" / "mu_star.json").write_bytes(content)
+    rc, err = _exit_code_and_err(capsys, ["evaluate", *flags, "--policies", "mu-mc"])
+    assert rc == 2 and "mu_star.json" in err
+    rc, err = _exit_code_and_err(capsys, [
+        "enhance", *flags, "mu-mc", _noisy_wav(cfg), str(tmp / "out.wav")])
+    assert rc == 2 and "mu_star.json" in err
+
+
+def test_truncated_frame_cache_exits_4(mini_system, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mini_system.corpus_dir, corpus)
+    cache = sorted(corpus.glob("train/*/frames.mcfr"))[-1]
+    cache.write_bytes(cache.read_bytes()[:-3])
+    rc, err = _exit_code_and_err(capsys, [
+        "train", "--corpus-dir", str(corpus), "--models-dir", str(tmp_path / "models"),
+        "--reports-dir", str(tmp_path / "reports"), "single"])
+    assert rc == 4  # CorruptFile
+    assert "frames.mcfr" in err
+
+
+@pytest.mark.parametrize("where, value", [
+    (("frame", "hop_samples"), 0),
+    (("frame", "fft_size"), "512"),
+    (("utterances", 0, "utt_id"), ["a"]),
+    (("utterances", 0, "seed"), 1.5),
+    (("entries", 0, "noise"), ["white"]),
+    (("entries", 0, "snr_db"), [0]),
+    (("entries", 0, "split"), None),
+    (("entries", 0), "x"),
+    (("entries",), 5),
+])
+def test_bad_manifest_field_exits_3(mini_system, tmp_path, capsys, where, value):
+    data = json.loads((Path(mini_system.corpus_dir) / "manifest.json").read_text())
+    node = data
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(data))
+    rc, err = _exit_code_and_err(capsys, ["evaluate", "--corpus-dir", str(tmp_path)])
+    assert rc == 3  # InvalidManifest
+
+
+def test_non_utf8_manifest_exits_3(tmp_path, capsys):
+    (tmp_path / "manifest.json").write_bytes(b'{"frame": "\xff"}')
+    rc, _ = _exit_code_and_err(capsys, ["evaluate", "--corpus-dir", str(tmp_path)])
+    assert rc == 3
+
+
+@pytest.mark.parametrize("where, value", [
+    (("model_files", 0), 5),
+    (("model_files",), "expert_a.model"),
+    (("labels", 0), ["a"]),
+    (("keep_probs",), 0.8),
+    (("classifier_file",), 5),
+    (("classifier_file",), ["classifier.model"]),
+    ((), None),  # the whole file is not UTF-8
+])
+def test_bad_bank_manifest_exits_3(mini_cli, capsys, where, value):
+    cfg, flags, tmp = mini_cli
+    models = tmp / "models"
+    shutil.copytree(cfg.models_dir, models)
+    bank = models / "bank.json"
+    if not where:
+        bank.write_bytes(b'{"labels": ["\xff"]}')
+    else:
+        manifest = json.loads(bank.read_text())
+        node = manifest
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        bank.write_text(json.dumps(manifest))
+    rc, err = _exit_code_and_err(capsys, [
+        "evaluate", *flags, "--models-dir", str(models), "--policies", "var-mc"])
+    assert rc == 3  # InvalidManifest
+    assert "bank.json" in err

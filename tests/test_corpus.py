@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcenhance.corpus import (
     NOISE_PRESETS,
@@ -8,7 +12,6 @@ from mcenhance.corpus import (
     DatasetManifest,
     MixEntry,
     NoiseSpec,
-    Utterance,
     build_dataset,
     default_manifest,
     entries_for,
@@ -16,6 +19,7 @@ from mcenhance.corpus import (
     load_entry_frames,
     load_entry_signals,
     load_manifest,
+    manifest_to_dict,
     noise_spec,
     open_dataset,
     read_cache,
@@ -30,9 +34,17 @@ from mcenhance.errors import (
     CorruptFile,
     InvalidManifest,
     InvalidParams,
+    McenError,
     MissingCorpus,
     VersionMismatch,
 )
+
+FUZZ = settings(max_examples=60, deadline=None, database=None)
+# Any JSON value, for the wrong-type probes of the JSON readers.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
 
 
 def test_presets_cover_seen_and_unseen():
@@ -331,3 +343,66 @@ def test_load_entry_frames_missing(small_built):
                     split="test", seed=0)
     with pytest.raises(MissingCorpus):
         load_entry_frames(out, fake)
+
+
+def _valid_cache(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.getbasetemp() / "fuzz_valid.mcfr"
+    write_cache(path, np.arange(12.0).reshape(3, 4), np.ones((3, 4)))
+    return path.read_bytes()
+
+
+@FUZZ
+@given(cut=st.integers(1, 16 + 2 * 12 * 4))
+def test_read_cache_refuses_every_truncation(tmp_path_factory, cut):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mcfr"
+    path.write_bytes(_valid_cache(tmp_path_factory)[:-cut])
+    with pytest.raises(CorruptFile):
+        read_cache(path)
+
+
+@FUZZ
+@given(flips=st.lists(st.tuples(st.integers(0, 16 + 2 * 12 * 4 - 1), st.integers(1, 255)),
+                      min_size=1, max_size=4),
+       cut=st.integers(0, 8))
+def test_read_cache_is_total_under_byte_flips(tmp_path_factory, flips, cut):
+    raw = bytearray(_valid_cache(tmp_path_factory))
+    for pos, mask in flips:
+        raw[pos] ^= mask
+    path = tmp_path_factory.getbasetemp() / "fuzz.mcfr"
+    path.write_bytes(bytes(raw[:len(raw) - cut]))
+    try:
+        noisy, clean = read_cache(path)
+    except McenError:
+        return
+    assert noisy.shape == clean.shape and noisy.dtype == clean.dtype == np.float64
+
+
+def _manifest_fields(data) -> list:
+    """Paths to the manifest's containers and to one record of each kind."""
+    paths = [("frame",), ("utterances",), ("entries",), ("utterances", 0), ("entries", 0)]
+    paths += [("frame", k) for k in data["frame"]]
+    for kind in ("utterances", "entries"):
+        paths += [(kind, 0, k) for k in data[kind][0]]
+    return paths
+
+
+@FUZZ
+@given(data=st.data())
+def test_load_manifest_is_total_under_wrong_json_types(tmp_path_factory, data):
+    doc = manifest_to_dict(default_manifest(seed=1, n_train=1, n_val=1, n_test=1,
+                                            duration_s=1.0))
+    where = data.draw(st.sampled_from(_manifest_fields(doc) + [()]))
+    value = data.draw(JSON_VALUES)
+    if where:
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        doc = value
+    path = tmp_path_factory.getbasetemp() / "fuzz_manifest.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_manifest(path)
+    except McenError:
+        pass

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from mcenhance.dsp import FrameConfig, Signal
-from mcenhance.errors import DimensionMismatch, InvalidConfig, NonFiniteInput
+from mcenhance.errors import InvalidConfig, NonFiniteInput
 from mcenhance.mcdrop import (
     McConfig,
-    enhance_deterministic,
-    enhance_single_mc,
     mc_for_model,
     mc_spectral_stats,
     tau_inverse,
@@ -233,29 +230,6 @@ def test_mc_config_validation():
         McConfig(tau_inv=-0.1)
     with pytest.raises(InvalidConfig):
         McConfig(prior_length_scale=0.0)
-
-
-def test_enhance_ops_run_and_match_geometry():
-    rng = np.random.default_rng(10)
-    frame = FrameConfig()
-    model = random_model(rng, (frame.n_bins, 16, frame.n_bins), keep_prob=0.8)
-    noisy = Signal(0.05 * rng.standard_normal(16000), 16000)
-    det = enhance_deterministic(model, noisy, frame)
-    mc = enhance_single_mc(model, noisy, McConfig(n_passes=3, rng_seed=0), frame)
-    n = 1 + (16000 - frame.frame_len_samples) // frame.hop_samples
-    want = (n - 1) * frame.hop_samples + frame.frame_len_samples
-    assert len(det.samples) == want
-    assert len(mc.samples) == want
-    assert not np.array_equal(det.samples, mc.samples)
-
-
-def test_enhance_rejects_wrong_bin_count():
-    rng = np.random.default_rng(11)
-    frame = FrameConfig()
-    model = random_model(rng, (64, 16, 64))
-    noisy = Signal(0.05 * rng.standard_normal(8000), 16000)
-    with pytest.raises(DimensionMismatch):
-        enhance_deterministic(model, noisy, frame)
 
 
 def test_single_pass_sweep_is_one_stochastic_forward():

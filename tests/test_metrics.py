@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import random_model
 from mcenhance.dsp import FrameConfig, Signal
 from mcenhance.errors import (
     DegenerateInput,
@@ -17,12 +16,7 @@ from mcenhance.metrics import (
     threshold_sweep,
     variance_error_correlation,
 )
-from mcenhance.selection import (
-    ModelBank,
-    PolicyKind,
-    SelectionPolicy,
-    select_frames,
-)
+from mcenhance.selection import BankOutputs, PolicyKind, SelectionPolicy, select_frames
 from test_selection import make_bank
 
 CFG = FrameConfig()
@@ -145,10 +139,9 @@ def test_threshold_sweep_endpoints_match_direct_policies():
 
     mag = stft(noisy, CFG).magnitude
     clean_mag = stft(clean, CFG).magnitude
-    var_mag, _ = select_frames(bank, mag,
-                               SelectionPolicy(kind=PolicyKind.VAR_MC, mc=mc))
-    cls_mag, _ = select_frames(bank, mag,
-                               SelectionPolicy(kind=PolicyKind.CLASSIFIER_MC, mc=mc))
+    outputs = BankOutputs(bank, mag, mc)
+    var_mag, _ = select_frames(outputs, SelectionPolicy(kind=PolicyKind.VAR_MC))
+    cls_mag, _ = select_frames(outputs, SelectionPolicy(kind=PolicyKind.CLASSIFIER_MC))
     var_sse, _ = sse(clean_mag, var_mag)
     cls_sse, _ = sse(clean_mag, cls_mag)
     assert by_mu[0.0] == var_sse  # bit-exact shared code path

@@ -1,18 +1,31 @@
 """Config plumbing, mu resolution, report helpers, the package export
-table, and which work evaluate does for a policy subset."""
+table, which work evaluate does for a policy subset, and enhance's
+output geometry."""
 
+import hashlib
 import json
 import shutil
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 import mcenhance
 from conftest import MINI
 from mcenhance import mcdrop, pipeline, selection
-from mcenhance.corpus import NOISE_PRESETS, SEEN_NOISES, default_manifest
+from mcenhance.corpus import (
+    NOISE_PRESETS,
+    SEEN_NOISES,
+    default_manifest,
+    entries_for,
+    entry_id,
+    open_dataset,
+)
+from mcenhance.dsp import FrameConfig, Signal, read_wav, write_wav
 from mcenhance.errors import InvalidConfig, MissingModels
+from mcenhance.neural import forward
 from mcenhance.pipeline import (
+    BANK_POLICIES,
     DEFAULT_MU_GRID,
     POLICY_NAMES,
     ExperimentConfig,
@@ -22,8 +35,10 @@ from mcenhance.pipeline import (
     load_config_file,
     make_config,
     resolve_mu,
+    run_enhance,
     run_evaluate,
 )
+from mcenhance.selection import load_bank
 
 
 def test_make_config_defaults():
@@ -182,3 +197,74 @@ def test_evaluate_on_a_bank_without_classifier(mini_system, tmp_path):
     for policy in ("class-conv", "class-mc", "mu-mc"):
         with pytest.raises(MissingModels):
             run_evaluate(cfg, policies=[policy])
+
+
+def _record_sweeps(monkeypatch) -> dict:
+    """Every MC sweep from here on, as frames digest -> (frames, models)."""
+    sweeps = {}
+    original = mcdrop.mc_spectral_stats
+
+    def counted(model, frames, cfg):
+        key = hashlib.md5(np.ascontiguousarray(frames).tobytes()).hexdigest()
+        sweeps.setdefault(key, (frames, []))[1].append(model)
+        return original(model, frames, cfg)
+
+    for module in (mcdrop, selection, pipeline):
+        monkeypatch.setattr(module, "mc_spectral_stats", counted)
+    return sweeps
+
+
+def test_evaluate_sweeps_each_read_expert_once_per_entry(mini_system, tmp_path, monkeypatch):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    bank = load_bank(cfg.models_dir)
+    n_entries = len(entries_for(open_dataset(cfg.corpus_dir), "test"))
+    sweeps = _record_sweeps(monkeypatch)
+
+    run_evaluate(cfg)  # all six policies: the single model plus every expert
+    assert len(sweeps) == n_entries
+    for _, models in sweeps.values():
+        assert len(models) == len({id(m) for m in models}) == 1 + len(bank.models)
+
+    sweeps.clear()
+    run_evaluate(cfg, policies=["class-mc"])  # only the experts some frame chooses
+    assert len(sweeps) == n_entries
+    for frames, models in sweeps.values():
+        chosen = np.unique(np.argmax(forward(bank.classifier, frames)[0], axis=1))
+        assert len(models) == len(chosen)
+        assert sorted(m.noise_label for m in models) == sorted(bank.labels[j] for j in chosen)
+
+    sweeps.clear()
+    run_evaluate(cfg, policies=["class-conv"])
+    assert sweeps == {}
+
+
+def test_enhance_every_policy_keeps_the_frame_geometry(mini_system, tmp_path):
+    frame = FrameConfig()
+    src = tmp_path / "in.wav"
+    write_wav(src, Signal(0.05 * np.random.default_rng(10).standard_normal(16000), 16000))
+    n = 1 + (16000 - frame.frame_len_samples) // frame.hop_samples
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    out = {}
+    for policy in POLICY_NAMES:
+        run_enhance(cfg, policy, src, tmp_path / f"{policy}.wav")
+        out[policy] = read_wav(tmp_path / f"{policy}.wav").samples
+        assert len(out[policy]) == (n - 1) * frame.hop_samples + frame.frame_len_samples
+    for policy in BANK_POLICIES:
+        assert len((tmp_path / f"{policy}.decisions.csv").read_text().splitlines()) == 1 + n
+    assert not np.array_equal(out["single-conv"], out["single-mc"])
+
+
+def test_enhance_mu_mc_takes_mu_star_when_no_mu_is_given(mini_system, tmp_path):
+    e = entries_for(open_dataset(mini_system.corpus_dir), "val")[0]
+    src = f"{mini_system.corpus_dir}/val/{entry_id(e)}/noisy.wav"
+    cfg = replace(mini_system, reports_dir=str(tmp_path), mu=0.0)
+    (tmp_path / "mu_star.json").write_text(json.dumps({"mu_star": 1e9}))
+
+    def enhance(tag, mu):
+        out = tmp_path / f"{tag}.wav"
+        run_enhance(cfg, "mu-mc", src, out, mu=mu)
+        return out.read_bytes(), out.with_suffix(".decisions.csv").read_bytes()
+
+    resolved = enhance("resolved", None)
+    assert resolved == enhance("explicit", 1e9)
+    assert resolved[1] != enhance("config", cfg.mu)[1]

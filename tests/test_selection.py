@@ -1,25 +1,30 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import random_model
-from mcenhance.dsp import FrameConfig, Signal
+from mcenhance import selection
 from mcenhance.errors import (
     DimensionMismatch,
     EmptyBank,
     InvalidConfig,
     InvalidManifest,
     LengthMismatch,
+    McenError,
     MissingModels,
 )
 from mcenhance.mcdrop import McConfig, mc_for_model
 from mcenhance.neural import forward
 from mcenhance.selection import (
-    FrameDecision,
+    BankOutputs,
+    Decisions,
     ModelBank,
     PolicyKind,
     SelectionPolicy,
     decisions_to_csv,
-    enhance_multi,
     load_bank,
     route_frames,
     save_bank,
@@ -27,6 +32,7 @@ from mcenhance.selection import (
     sweep_bank,
     validate_bank,
 )
+from test_corpus import FUZZ, JSON_VALUES
 from test_mcdrop import materialised_stats
 
 
@@ -143,12 +149,12 @@ def test_validate_bank_errors():
                       need_classifier=True)
 
 
-def per_frame_select(bank, policy, mag, i):
+def per_frame_select(bank, policy, mc, mag, i):
     """Per-frame reference for select_frames: frame i on its own, its
     masks pinned to row i, routed by the policy's rule."""
     x = mag[i]
     posteriors, _ = forward(bank.classifier, x)
-    stats = [materialised_stats(m, x[None], mc_for_model(m, policy.mc), row_offset=i)
+    stats = [materialised_stats(m, x[None], mc_for_model(m, mc), row_offset=i)
              for m in bank.models]
     traces = np.array([trace[0] for _, _, trace in stats])
     if policy.kind is PolicyKind.VAR_MC or (
@@ -175,26 +181,26 @@ def test_select_frames_matches_per_frame_oracle(kind, mu):
     rng = np.random.default_rng(8)
     bank = make_bank(rng, n_models=3)
     mag = rng.uniform(0.0, 2.0, size=(6, 9))
-    policy = SelectionPolicy(kind=kind, mu=mu, mc=McConfig(n_passes=5, rng_seed=3))
-    out_mag, decisions = select_frames(bank, mag, policy)
+    policy = SelectionPolicy(kind=kind, mu=mu)
+    mc = McConfig(n_passes=5, rng_seed=3)
+    out_mag, decisions = select_frames(BankOutputs(bank, mag, mc), policy)
     assert out_mag.shape == mag.shape
-    assert len(decisions) == 6
+    assert decisions.chosen.shape == decisions.var_route.shape == (6,)
     routes = set()
-    for i, d in enumerate(decisions):
-        chosen, route, traces, posteriors, out = per_frame_select(bank, policy, mag, i)
-        assert d.frame_index == i
-        assert d.chosen_model == chosen
-        assert d.route == route
+    for i in range(6):
+        chosen, route, traces, posteriors, out = per_frame_select(bank, policy, mc, mag, i)
+        assert decisions.chosen[i] == chosen
+        assert ("variance" if decisions.var_route[i] else "classifier") == route
         routes.add(route)
         if kind in (PolicyKind.CLASSIFIER_CONV, PolicyKind.CLASSIFIER_MC):
-            assert d.trace_vars is None
+            assert decisions.traces is None
         else:
-            np.testing.assert_allclose(d.trace_vars, traces, rtol=1e-9)
+            np.testing.assert_allclose(decisions.traces[:, i], traces, rtol=1e-9)
         if kind is PolicyKind.VAR_MC:
-            assert d.posteriors is None
+            assert decisions.posteriors is None
         else:
-            np.testing.assert_allclose(d.posteriors, posteriors, rtol=1e-9)
-            assert d.posteriors.sum() == pytest.approx(1.0, abs=1e-9)
+            np.testing.assert_allclose(decisions.posteriors[i], posteriors, rtol=1e-9)
+            assert decisions.posteriors[i].sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(out_mag[i], out, rtol=1e-9, atol=1e-12)
     if kind is PolicyKind.MU_MC and mu in (0.0, 1e9):
         assert routes == {"variance" if mu == 0.0 else "classifier"}
@@ -204,12 +210,11 @@ def test_single_model_bank_always_chosen():
     rng = np.random.default_rng(4)
     bank = make_bank(rng, n_models=1)
     mag = rng.uniform(0.0, 2.0, size=(3, 9))
-    policy = SelectionPolicy(kind=PolicyKind.VAR_MC, mc=McConfig(n_passes=4, rng_seed=0))
-    _, decisions = select_frames(bank, mag, policy)
-    for d in decisions:
-        assert d.chosen_model == 0
-        assert d.route == "variance"
-        assert d.trace_vars.shape == (1,)
+    outputs = BankOutputs(bank, mag, McConfig(n_passes=4, rng_seed=0))
+    _, decisions = select_frames(outputs, SelectionPolicy(kind=PolicyKind.VAR_MC))
+    np.testing.assert_array_equal(decisions.chosen, [0, 0, 0])
+    assert decisions.var_route.all()
+    assert decisions.traces.shape == (1, 3)
 
 
 def test_sweep_bank_shapes():
@@ -220,20 +225,6 @@ def test_sweep_bank_shapes():
     assert means.shape == (3, 5, 9)
     assert traces.shape == (3, 5)
     assert np.all(traces >= 0.0)
-
-
-def test_enhance_multi_runs_all_policies():
-    rng = np.random.default_rng(10)
-    frame = FrameConfig()
-    bank = make_bank(rng, n_models=2, in_dim=frame.n_bins)
-    noisy = Signal(0.05 * rng.standard_normal(12000), 16000)
-    mc = McConfig(n_passes=3, rng_seed=0)
-    n = 1 + (12000 - frame.frame_len_samples) // frame.hop_samples
-    for kind in PolicyKind:
-        policy = SelectionPolicy(kind=kind, mu=0.16, mc=mc)
-        out, decisions = enhance_multi(bank, noisy, policy, frame)
-        assert len(decisions) == n
-        assert len(out.samples) == (n - 1) * frame.hop_samples + frame.frame_len_samples
 
 
 def test_bank_save_load_roundtrip(tmp_path):
@@ -270,8 +261,6 @@ def test_load_bank_missing_pieces(tmp_path):
 
 
 def test_load_bank_rejects_inconsistent_manifest(tmp_path):
-    import json
-
     rng = np.random.default_rng(14)
     bank = make_bank(rng, n_models=2)
     save_bank(bank, tmp_path)
@@ -288,15 +277,12 @@ def test_load_bank_rejects_inconsistent_manifest(tmp_path):
 
 
 def test_decisions_to_csv_complete_audit(tmp_path):
-    decisions = [
-        FrameDecision(frame_index=0, chosen_model=1, route="variance",
-                      trace_vars=np.array([0.5, 0.25]),
-                      posteriors=np.array([0.4, 0.6])),
-        FrameDecision(frame_index=1, chosen_model=0, route="classifier",
-                      trace_vars=None, posteriors=np.array([0.9, 0.1])),
-    ]
     path = tmp_path / "d.csv"
-    decisions_to_csv(decisions, ["a", "b"], path)
+    decisions_to_csv(Decisions(chosen=np.array([1, 0]),
+                               var_route=np.array([True, False]),
+                               traces=np.array([[0.5, 0.1], [0.25, 0.2]]),
+                               posteriors=np.array([[0.4, 0.6], [0.9, 0.1]])),
+                     ["a", "b"], path)
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
     assert header[:3] == ["frame_index", "route", "chosen_label"]
@@ -304,5 +290,53 @@ def test_decisions_to_csv_complete_audit(tmp_path):
     assert len(lines) == 3
     row0 = lines[1].split(",")
     assert row0[1] == "variance" and row0[2] == "b"
-    row1 = lines[2].split(",")
+    assert row0[3:] == ["0.5", "0.25", "0.4", "0.6"]
+
+    decisions_to_csv(Decisions(chosen=np.array([0]), var_route=np.array([False]),
+                               traces=None, posteriors=np.array([[0.9, 0.1]])),
+                     ["a", "b"], path)
+    row1 = path.read_text().strip().splitlines()[1].split(",")
+    assert row1[:3] == ["0", "classifier", "a"]
     assert row1[3] == ""  # absent trace vector leaves blank cells
+
+
+def test_bank_outputs_run_each_expert_once_and_only_when_read(monkeypatch):
+    rng = np.random.default_rng(15)
+    bank = make_bank(rng, n_models=3)
+    mag = rng.uniform(0.0, 2.0, size=(7, 9))
+    calls = []
+    original = selection.mc_spectral_stats
+
+    def counted(model, frames, cfg):
+        calls.append([m is model for m in bank.models].index(True))
+        return original(model, frames, cfg)
+
+    monkeypatch.setattr(selection, "mc_spectral_stats", counted)
+    outputs = BankOutputs(bank, mag, McConfig(n_passes=3, rng_seed=1))
+    _, conv = select_frames(outputs, SelectionPolicy(PolicyKind.CLASSIFIER_CONV))
+    assert calls == []
+    _, cls = select_frames(outputs, SelectionPolicy(PolicyKind.CLASSIFIER_MC))
+    assert sorted(calls) == sorted(set(np.unique(cls.chosen)))
+    for kind in (PolicyKind.VAR_MC, PolicyKind.MU_MC, PolicyKind.CLASSIFIER_MC):
+        select_frames(outputs, SelectionPolicy(kind))
+    assert sorted(calls) == [0, 1, 2]
+    np.testing.assert_array_equal(conv.chosen, cls.chosen)
+
+
+@FUZZ
+@given(key=st.sampled_from(["labels", "model_files", "keep_probs", "classifier_file"]),
+       first_only=st.booleans(), value=JSON_VALUES)
+@example(key="model_files", first_only=True, value="")  # the bank directory itself
+def test_load_bank_is_total_under_wrong_json_types(tmp_path_factory, key, first_only, value):
+    root = tmp_path_factory.getbasetemp() / "fuzz_bank"
+    save_bank(make_bank(np.random.default_rng(16), n_models=2), root)
+    manifest = json.loads((root / "bank.json").read_text())
+    if first_only and isinstance(manifest[key], list):
+        manifest[key][0] = value
+    else:
+        manifest[key] = value
+    (root / "bank.json").write_text(json.dumps(manifest))
+    try:
+        load_bank(root)
+    except McenError:
+        pass
