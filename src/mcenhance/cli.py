@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Verbs: synth, train, enhance, evaluate, correlate, sweep.  Exit codes:
-0 success, 2 usage, 3 runtime failure, 4 missing or corrupt model files.
+0 success, 2 usage, 3 data or runtime failure, 4 missing or corrupt model files.
 """
 
 from __future__ import annotations
@@ -117,6 +117,11 @@ def main(argv=None) -> int:
             overrides.update(n_epochs=args.epochs)
             if args.separate_baseline:
                 overrides["separate_baseline"] = True
+        if args.verb == "sweep" and args.mu_grid:
+            try:
+                overrides["mu_grid"] = [float(tok) for tok in args.mu_grid.split(",")]
+            except ValueError as exc:
+                raise InvalidConfig(f"--mu-grid: {exc}") from None
         cfg = pipeline.make_config(file_data, overrides)
 
         if args.verb == "synth":
@@ -145,14 +150,7 @@ def main(argv=None) -> int:
                 print(f"{r['model']:>18} {r['snr_db']:+3d} dB "
                       f"r={r['pearson_r']:+.4f} (n={r['n_frames']})")
         elif args.verb == "sweep":
-            grid = None
-            if args.mu_grid:
-                try:
-                    grid = [float(tok) for tok in args.mu_grid.split(",")]
-                except ValueError as exc:
-                    raise InvalidConfig(f"--mu-grid: {exc}") from None
-            rows, mu_star = pipeline.run_sweep(cfg, split=args.split,
-                                               mu_grid=grid)
+            rows, mu_star = pipeline.run_sweep(cfg, split=args.split)
             for mu, cond, val in rows:
                 print(f"mu={mu:<8g} {cond:<24} sse={val:.6g}")
             if mu_star is not None:

@@ -19,6 +19,7 @@ from .dsp import (
     write_wav,
 )
 from .errors import (
+    CorruptCorpus,
     CorruptFile,
     InvalidManifest,
     InvalidParams,
@@ -373,6 +374,8 @@ def validate_manifest(manifest: DatasetManifest) -> None:
     for u in manifest.utterances:
         if u.split not in ("train", "val", "test"):
             raise InvalidManifest(f"{u.utt_id}: bad split {u.split!r}")
+        if u.seed < 0:
+            raise InvalidManifest(f"{u.utt_id}: negative seed {u.seed}")
 
     train_noises = {e.noise for e in manifest.entries if e.split == "train"}
     seen_pairs = set()
@@ -381,6 +384,8 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise InvalidManifest(f"{entry_id(e)}: bad split {e.split!r}")
         if e.clean_id not in by_id:
             raise InvalidManifest(f"{entry_id(e)}: unknown clean_id {e.clean_id}")
+        if e.seed < 0:
+            raise InvalidManifest(f"{entry_id(e)}: negative seed {e.seed}")
         if by_id[e.clean_id].split != e.split:
             raise InvalidManifest(
                 f"{entry_id(e)}: utterance belongs to split {by_id[e.clean_id].split}")
@@ -593,7 +598,10 @@ def load_entry_frames(dataset_dir, entry: MixEntry) -> tuple[np.ndarray, np.ndar
     cache = edir / "frames.mcfr"
     if not cache.exists():
         raise MissingCorpus(f"no frame cache at {cache}")
-    return read_cache(cache)
+    try:
+        return read_cache(cache)
+    except (CorruptFile, VersionMismatch) as exc:  # corpus data, not a model file
+        raise CorruptCorpus(str(exc)) from exc
 
 
 def load_entry_signals(dataset_dir, entry: MixEntry) -> tuple[Signal, Signal]:

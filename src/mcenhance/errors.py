@@ -103,5 +103,9 @@ class MissingCorpus(McenError):
     """Expected corpus files not found on disk."""
 
 
+class CorruptCorpus(McenError):
+    """Corpus frame cache is truncated, malformed or of another version."""
+
+
 class MissingModels(McenError):
     """Expected model files not found on disk."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import FrameConfig, Signal, frame_signal, stft
+from .dsp import FrameConfig, Signal, frame_signal
 from .errors import (
     DegenerateInput,
     InvalidConfig,
@@ -13,16 +13,7 @@ from .errors import (
     NoVoicedFrames,
     ShapeMismatch,
 )
-from .mcdrop import McConfig
-from .neural import forward
-from .selection import (
-    ModelBank,
-    PolicyKind,
-    SelectionPolicy,
-    route_frames,
-    sweep_bank,
-    validate_bank,
-)
+from .selection import PolicyKind, SelectionPolicy, route_frames, sweep_bank
 
 SSNR_FLOOR_DB = -10.0
 SSNR_CEIL_DB = 35.0
@@ -78,19 +69,13 @@ def variance_error_correlation(
     return float(np.corrcoef(x, y)[0, 1])
 
 
-def threshold_sweep(
-    bank: ModelBank,
-    test_set: list,
-    mu_values: np.ndarray,
-    mc: McConfig,
-    frame_cfg: FrameConfig,
-) -> list:
+def threshold_sweep(test_set, mu_values: np.ndarray) -> list:
     """SSE of the mu-switched policy at each threshold.
 
-    test_set holds (condition, noisy Signal, clean Signal) triples. One MC
-    sweep per (file, model) is reduced to per-frame squared errors [M, n]
-    and cached; routing is a pure function of the cached traces and
-    posteriors, so each mu only indexes that array. Returns rows of
+    test_set yields (condition, BankOutputs, clean magnitudes) triples.
+    Each entry's bank sweep is reduced to per-frame squared errors [M, n]
+    and cached with its traces and posteriors; routing is a pure function
+    of those, so each mu only indexes the SE array. Returns rows of
     (mu, condition, sse) where sse is the mean of per-file totals,
     ordered by mu then by first appearance of the condition.
     """
@@ -99,18 +84,15 @@ def threshold_sweep(
         raise InvalidConfig("mu_values must be a nonempty vector")
     if np.any(np.diff(mu_values) < 0):
         raise InvalidConfig("mu_values must be sorted ascending")
-    validate_bank(bank, need_classifier=True)
 
     conditions = []
     cached = []
-    for condition, noisy, clean in test_set:
+    for condition, outputs, clean_mag in test_set:
         if condition not in conditions:
             conditions.append(condition)
-        mag = stft(noisy, frame_cfg).magnitude
-        clean_mag = stft(clean, frame_cfg).magnitude
-        means, traces = sweep_bank(bank, mag, mc)
+        posteriors = outputs.posteriors()  # checks the classifier before any sweep
+        means, traces = sweep_bank(outputs)
         se = np.stack([sse(clean_mag, m)[1] for m in means])
-        posteriors, _ = forward(bank.classifier, mag)
         cached.append((condition, se, traces, posteriors))
 
     rows = []

@@ -117,9 +117,9 @@ _FIELD_CHECKS = {
     "seed": _COUNT,
     "n_passes": _POSITIVE,
     "mu": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-    "mu_grid": (lambda v: len(v) > 0 and all(_is_finite(m) for m in v)
+    "mu_grid": (lambda v: len(v) > 0 and all(_is_finite(m) and m >= 0 for m in v)
                 and all(a <= b for a, b in zip(v, v[1:])),
-                "a nonempty ascending list of finite numbers"),
+                "a nonempty ascending list of finite numbers >= 0"),
     "hidden_dims": (lambda v: all(_is_int(d) and d > 0 for d in v),
                     "a list of positive integers"),
     "keep_prob": (lambda v: _is_finite(v) and 0 < v <= 1, "a number in (0, 1]"),
@@ -247,78 +247,67 @@ def _concat_frames(corpus_dir, entries) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(noisy), np.concatenate(clean)
 
 
-def _write_loss_csv(cfg, name, losses) -> None:
-    rows = [(epoch, _fmt(loss)) for epoch, loss in enumerate(losses)]
-    _write_rows(Path(cfg.reports_dir) / f"loss_{name}.csv",
-                ["epoch", "loss"], rows,
-                comment="epoch 0 is the pre-training loss (deterministic pass)")
-
-
 def run_train(cfg: ExperimentConfig, scope: str) -> list:
-    """Train one scope; returns the written model paths."""
+    """Train one scope; returns the written model paths. Every scope but
+    single then rewrites the bank, once every expert file exists."""
     if scope not in ("single", "per-noise", "classifier", "all"):
         raise InvalidConfig(f"unknown train scope {scope!r}")
     manifest = open_dataset(cfg.corpus_dir)
     models_dir = Path(cfg.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
+    labels = bank_labels(manifest)
     written = []
+    trained = {}
+
+    def save(name, result) -> None:
+        trained[name], losses = result
+        save_model(trained[name], models_dir / f"{name}.model")
+        _write_rows(Path(cfg.reports_dir) / f"loss_{name}.csv", ["epoch", "loss"],
+                    [(epoch, _fmt(loss)) for epoch, loss in enumerate(losses)],
+                    comment="epoch 0 is the pre-training loss (deterministic pass)")
+        written.append(models_dir / f"{name}.model")
 
     if scope in ("single", "all"):
-        entries = entries_for(manifest, "train")
-        noisy, clean = _concat_frames(cfg.corpus_dir, entries)
-        model, losses = train_regressor(
+        noisy, clean = _concat_frames(cfg.corpus_dir, entries_for(manifest, "train"))
+        save("single", train_regressor(
             noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_SINGLE)),
-            noise_label="all")
-        save_model(model, models_dir / "single.model")
-        _write_loss_csv(cfg, "single", losses)
-        written.append(models_dir / "single.model")
+            noise_label="all"))
         if cfg.separate_baseline:
-            base, base_losses = train_regressor(
+            save("baseline", train_regressor(
                 noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_BASELINE)),
-                noise_label="all")
-            save_model(base, models_dir / "baseline.model")
-            _write_loss_csv(cfg, "baseline", base_losses)
-            written.append(models_dir / "baseline.model")
+                noise_label="all"))
+        else:  # single-conv reads a baseline whenever one exists
+            (models_dir / "baseline.model").unlink(missing_ok=True)
+            (Path(cfg.reports_dir) / "loss_baseline.csv").unlink(missing_ok=True)
 
     if scope in ("per-noise", "all"):
-        labels = bank_labels(manifest)
-        experts = []
         for j, label in enumerate(labels):
-            entries = entries_for(manifest, "train", noise=label)
-            noisy, clean = _concat_frames(cfg.corpus_dir, entries)
-            model, losses = train_regressor(
+            noisy, clean = _concat_frames(cfg.corpus_dir,
+                                          entries_for(manifest, "train", noise=label))
+            save(f"expert_{label}", train_regressor(
                 noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_EXPERT, j)),
-                noise_label=label)
-            experts.append(model)
-            _write_loss_csv(cfg, f"expert_{label}", losses)
-        classifier = None
-        if (models_dir / "classifier.model").exists():
-            classifier = load_model(models_dir / "classifier.model")
-        save_bank(ModelBank(models=experts, labels=labels, classifier=classifier),
-                  models_dir)
-        written += [models_dir / f"expert_{label}.model" for label in labels]
+                noise_label=label))
 
     if scope in ("classifier", "all"):
-        labels = bank_labels(manifest)
         noisy_blocks, label_blocks = [], []
         for j, label in enumerate(labels):
-            entries = entries_for(manifest, "train", noise=label)
-            noisy, _ = _concat_frames(cfg.corpus_dir, entries)
+            noisy, _ = _concat_frames(cfg.corpus_dir,
+                                      entries_for(manifest, "train", noise=label))
             noisy_blocks.append(noisy)
             label_blocks.append(np.full(noisy.shape[0], j, dtype=np.int64))
-        model, losses = train_classifier(
+        save("classifier", train_classifier(
             np.concatenate(noisy_blocks), np.concatenate(label_blocks),
             _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_CLASSIFIER)),
-            n_classes=len(labels), noise_label="classifier")
-        save_model(model, models_dir / "classifier.model")
-        _write_loss_csv(cfg, "classifier", losses)
-        written.append(models_dir / "classifier.model")
-        expert_files = [models_dir / f"expert_{label}.model" for label in labels]
-        if all(p.exists() for p in expert_files):
-            experts = [load_model(p) for p in expert_files]
-            save_bank(ModelBank(models=experts, labels=labels, classifier=model),
-                      models_dir)
+            n_classes=len(labels), noise_label="classifier"))
 
+    # Models trained here are reused, not reloaded: reloading only churns the heap.
+    expert_files = [models_dir / f"expert_{label}.model" for label in labels]
+    classifier = models_dir / "classifier.model"
+    if scope != "single" and all(p.exists() for p in expert_files):
+        save_bank(ModelBank(
+            models=[trained.get(p.stem) or load_model(p) for p in expert_files], labels=labels,
+            classifier=trained.get("classifier") or (
+                load_model(classifier) if classifier.exists() else None)), models_dir)
     return written
 
 
@@ -417,11 +406,24 @@ def run_enhance(
     return out_path
 
 
-def _group_by_condition(entries) -> dict:
+def _read_split(cfg: ExperimentConfig, manifest: DatasetManifest, split: str,
+                bank: ModelBank | None, mc: McConfig) -> list:
+    """A split's (noise, snr_db) conditions in order of first appearance,
+    as (condition, entries, reader). Iterating a reader loads, per entry,
+    (entry, clean Signal, noisy SpectralFrames, clean magnitudes,
+    BankOutputs or None without a bank); a condition never read costs
+    nothing."""
+    def read(entries):
+        for e in entries:
+            clean_sig, noisy_sig = load_entry_signals(cfg.corpus_dir, e)
+            frames = stft(noisy_sig, manifest.frame)
+            outputs = BankOutputs(bank, frames.magnitude, mc) if bank else None
+            yield e, clean_sig, frames, stft(clean_sig, manifest.frame).magnitude, outputs
+
     groups = {}
-    for e in entries:
+    for e in entries_for(manifest, split):
         groups.setdefault((e.noise, e.snr_db), []).append(e)
-    return groups
+    return [(condition, entries, read(entries)) for condition, entries in groups.items()]
 
 
 def run_evaluate(
@@ -441,15 +443,11 @@ def run_evaluate(
     models = load_policy_models(cfg, policies, mu)
 
     rows = []
-    for (noise, snr_db), entries in _group_by_condition(entries_for(manifest, split)).items():
+    for (noise, snr_db), entries, read in _read_split(cfg, manifest, split,
+                                                      models.bank, models.mc):
         sse_acc = {p: [] for p in policies}
         ssnr_acc = {p: [] for p in policies}
-        for e in entries:
-            clean_sig, noisy_sig = load_entry_signals(cfg.corpus_dir, e)
-            frames = stft(noisy_sig, frame)
-            clean_mag = stft(clean_sig, frame).magnitude
-            outputs = (BankOutputs(models.bank, frames.magnitude, models.mc)
-                       if models.bank else None)
+        for _, clean_sig, frames, clean_mag, outputs in read:
             for p in policies:
                 est, _ = models.enhance(p, frames.magnitude, outputs)
                 total, _ = sse(clean_mag, est)
@@ -485,28 +483,23 @@ def run_correlate(cfg: ExperimentConfig, split: str = "test") -> list:
     the matched expert on every seen condition; writes correlation.csv
     and the per-frame scatter.csv."""
     manifest = open_dataset(cfg.corpus_dir)
-    frame = manifest.frame
-    mc = _mc_cfg(cfg)
     bank = load_bank(cfg.models_dir)
 
     rows = []
     scatter = []
-    for (noise, snr_db), entries in _group_by_condition(entries_for(manifest, split)).items():
+    for (noise, snr_db), _, read in _read_split(cfg, manifest, split, bank, _mc_cfg(cfg)):
         if noise not in bank.labels:
             continue
-        model = bank.models[bank.labels.index(noise)]
+        j = bank.labels.index(noise)
         ses, traces = [], []
-        for e in entries:
-            clean_sig, noisy_sig = load_entry_signals(cfg.corpus_dir, e)
-            mag = stft(noisy_sig, frame).magnitude
-            clean_mag = stft(clean_sig, frame).magnitude
-            sweep = mc_spectral_stats(model, mag, mc_for_model(model, mc))
-            _, per_frame = sse(clean_mag, sweep.means)
+        for e, _, _, clean_mag, outputs in read:
+            means, trace = outputs.mc_stats(j)
+            _, per_frame = sse(clean_mag, means)
             ses.append(per_frame)
-            traces.append(sweep.traces)
+            traces.append(trace)
             for i in range(per_frame.size):
                 scatter.append((noise, snr_db, entry_id(e), i,
-                                _fmt(per_frame[i]), _fmt(sweep.traces[i])))
+                                _fmt(per_frame[i]), _fmt(trace[i])))
         se_all = np.concatenate(ses)
         tv_all = np.concatenate(traces)
         r = variance_error_correlation(se_all, tv_all)
@@ -525,27 +518,22 @@ def run_correlate(cfg: ExperimentConfig, split: str = "test") -> list:
 
 # ---------------------------------------------------------------- sweep
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    split: str = "test",
-    mu_grid=None,
-) -> tuple[list, float | None]:
-    """Threshold sweep over one split; on the val split also selects and
-    records mu_star (smallest threshold that keeps every trained-noise
-    condition within MU_GUARDRAIL of the largest-mu column)."""
-    grid = np.asarray(mu_grid if mu_grid is not None else cfg.mu_grid, dtype=np.float64)
+def run_sweep(cfg: ExperimentConfig, split: str = "test") -> tuple[list, float | None]:
+    """Threshold sweep of cfg.mu_grid over one split; on the val split
+    also selects and records mu_star (smallest threshold that keeps every
+    trained-noise condition within MU_GUARDRAIL of the largest-mu
+    column)."""
+    grid = np.asarray(cfg.mu_grid, dtype=np.float64)
     manifest = open_dataset(cfg.corpus_dir)
     bank = load_bank(cfg.models_dir)
-    mc = _mc_cfg(cfg)
-
-    test_set = []
-    for e in entries_for(manifest, split):
-        clean_sig, noisy_sig = load_entry_signals(cfg.corpus_dir, e)
-        test_set.append((f"{e.noise}_snr{e.snr_db:+d}", noisy_sig, clean_sig))
-    if not test_set:
+    if not entries_for(manifest, split):
         raise EmptyDataset(f"no entries in split {split!r}")
 
-    rows = threshold_sweep(bank, test_set, grid, mc, manifest.frame)
+    rows = threshold_sweep(
+        ((f"{noise}_snr{snr_db:+d}", outputs, clean_mag)
+         for (noise, snr_db), _, read in _read_split(cfg, manifest, split, bank, _mc_cfg(cfg))
+         for _, _, _, clean_mag, outputs in read),
+        grid)
     name = "sweep.csv" if split == "test" else f"sweep_{split}.csv"
     _write_rows(Path(cfg.reports_dir) / name,
                 ["mu", "condition", "sse"],

@@ -72,7 +72,7 @@ def validate_bank(bank: ModelBank, need_classifier: bool = False) -> None:
 
 
 def save_bank(bank: ModelBank, dir_path) -> None:
-    validate_bank(bank)
+    validate_bank(bank, need_classifier=bank.classifier is not None)
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
     model_files = []
@@ -240,12 +240,11 @@ def select_frames(
     return out, Decisions(chosen, var_route, traces, posteriors)
 
 
-def sweep_bank(bank: ModelBank, mag: np.ndarray, mc: McConfig):
-    """MC stats for every model over the whole utterance: means
+def sweep_bank(outputs: BankOutputs) -> tuple[np.ndarray, np.ndarray]:
+    """Every expert's MC stats over the whole utterance: means
     [M, n, bins] and trace variances [M, n]."""
-    outputs = BankOutputs(bank, mag, mc)
     traces = outputs.traces()
-    return np.stack([outputs.mc_stats(j)[0] for j in range(len(bank.models))]), traces
+    return np.stack([outputs.mc_stats(j)[0] for j in range(len(outputs.bank.models))]), traces
 
 
 def decisions_to_csv(decisions: Decisions, labels: list, path) -> None:

@@ -13,8 +13,9 @@ import pytest
 
 import mcenhance
 from conftest import random_model
+from mcenhance import mcdrop, selection
 from mcenhance.cli import main
-from mcenhance.corpus import entries_for, entry_id, open_dataset
+from mcenhance.corpus import default_manifest, entries_for, entry_id, open_dataset, save_manifest
 from mcenhance.neural import save_model
 
 
@@ -118,6 +119,8 @@ def test_non_numeric_mu_grid_exits_2(tmp_path, capsys):
     ("mu_grid", []),
     ("mu_grid", [1.0, 0.5]),
     ("mu_grid", [0.0, float("inf")]),
+    ("mu_grid", [float("nan")]),
+    ("mu_grid", [-1.0, 0.0]),
     ("hidden_dims", 5),
     ("hidden_dims", "256"),
     ("hidden_dims", [16, "a"]),
@@ -145,6 +148,23 @@ def test_bad_config_value_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["nan", "0,inf", "-1,0"])
+def test_bad_mu_grid_flag_exits_2_before_any_sweep(mini_cli, capsys, monkeypatch, grid):
+    _, flags, _ = mini_cli
+    calls = []
+    original = mcdrop.mc_spectral_stats
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (mcdrop, selection):
+        monkeypatch.setattr(module, "mc_spectral_stats", counted)
+    rc, err = _exit_code_and_err(capsys, ["sweep", *flags, f"--mu-grid={grid}"])
+    assert rc == 2 and "mu_grid" in err
+    assert calls == []
 
 
 def test_missing_corpus_exits_3(tmp_path):
@@ -281,7 +301,7 @@ def test_bad_mu_star_exits_2(mini_cli, capsys, content):
     assert rc == 2 and "mu_star.json" in err
 
 
-def test_truncated_frame_cache_exits_4(mini_system, tmp_path, capsys):
+def test_truncated_frame_cache_exits_3(mini_system, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(mini_system.corpus_dir, corpus)
     cache = sorted(corpus.glob("train/*/frames.mcfr"))[-1]
@@ -289,7 +309,7 @@ def test_truncated_frame_cache_exits_4(mini_system, tmp_path, capsys):
     rc, err = _exit_code_and_err(capsys, [
         "train", "--corpus-dir", str(corpus), "--models-dir", str(tmp_path / "models"),
         "--reports-dir", str(tmp_path / "reports"), "single"])
-    assert rc == 4  # CorruptFile
+    assert rc == 3  # CorruptCorpus: corpus data, not a model file
     assert "frames.mcfr" in err
 
 
@@ -313,6 +333,18 @@ def test_bad_manifest_field_exits_3(mini_system, tmp_path, capsys, where, value)
     (tmp_path / "manifest.json").write_text(json.dumps(data))
     rc, err = _exit_code_and_err(capsys, ["evaluate", "--corpus-dir", str(tmp_path)])
     assert rc == 3  # InvalidManifest
+
+
+@pytest.mark.parametrize("records", ["utterances", "entries"])
+def test_negative_manifest_seed_exits_3(tmp_path, capsys, records):
+    manifest = default_manifest(seed=1, n_train=1, n_val=1, n_test=1, duration_s=1.0)
+    getattr(manifest, records)[0].seed = -3
+    save_manifest(manifest, tmp_path / "manifest.json")
+    rc, err = _exit_code_and_err(capsys, [
+        "synth", "--manifest", str(tmp_path / "manifest.json"),
+        "--corpus-dir", str(tmp_path / "corpus")])
+    assert rc == 3  # InvalidManifest
+    assert "negative seed -3" in err
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

@@ -31,6 +31,7 @@ from mcenhance.corpus import (
 )
 from mcenhance.dsp import FrameConfig, Signal, read_wav, stft, write_wav
 from mcenhance.errors import (
+    CorruptCorpus,
     CorruptFile,
     InvalidManifest,
     InvalidParams,
@@ -343,6 +344,18 @@ def test_load_entry_frames_missing(small_built):
                     split="test", seed=0)
     with pytest.raises(MissingCorpus):
         load_entry_frames(out, fake)
+
+
+def test_load_entry_frames_reports_a_damaged_cache_as_corpus_data(tmp_path):
+    e = MixEntry(clean_id="test_0000", noise="white", snr_db=0, split="test", seed=0)
+    path = tmp_path / e.split / entry_id(e) / "frames.mcfr"
+    path.parent.mkdir(parents=True)
+    write_cache(path, np.ones((2, 4)), np.ones((2, 4)))
+    raw = path.read_bytes()
+    for damaged in (b"ZZZZ" + raw[4:], raw[:-8], raw[:4] + (9).to_bytes(4, "little") + raw[8:]):
+        path.write_bytes(damaged)
+        with pytest.raises(CorruptCorpus, match="frames.mcfr"):
+            load_entry_frames(tmp_path, e)
 
 
 def _valid_cache(tmp_path_factory) -> bytes:

@@ -1,6 +1,8 @@
-"""Source hygiene checks over the package and its tests."""
+"""Source hygiene checks over the package, its tests and the names the
+benchmark traces."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +26,16 @@ def unused_imports(path: Path) -> list:
 def test_no_unused_module_level_imports():
     files = sorted((ROOT / "src" / "mcenhance").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in files for hit in unused_imports(path)] == []
+
+
+def test_every_traced_layer_resolves():
+    """bench/spans.py wraps each LAYERS name with getattr at every import
+    site, so a rename or deletion in the package breaks traced runs."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "LAYERS" for t in node.targets))
+    missing = [f"{module}.{name}" for module, names in layers.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"mcenhance.{module}"), name, None))]
+    assert layers and missing == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcenhance.dsp import FrameConfig, Signal
+from mcenhance.dsp import FrameConfig, Signal, stft
 from mcenhance.errors import (
     DegenerateInput,
     InvalidConfig,
@@ -113,33 +113,34 @@ def test_correlation_degenerate_inputs():
         variance_error_correlation(np.arange(4.0), np.arange(5.0))
 
 
+def _entry(bank, mc, rng, condition, n_samples):
+    """One (condition, BankOutputs, clean magnitudes) sweep entry from a
+    random noisy/clean pair."""
+    noisy = Signal(0.05 * rng.standard_normal(n_samples), 16000)
+    clean = Signal(0.05 * rng.standard_normal(n_samples), 16000)
+    return condition, BankOutputs(bank, stft(noisy, CFG).magnitude, mc), stft(clean, CFG).magnitude
+
+
 def test_threshold_sweep_requires_ascending_grid():
     rng = np.random.default_rng(5)
     bank = make_bank(rng, n_models=2, in_dim=CFG.n_bins)
-    noisy = Signal(0.05 * rng.standard_normal(4000), 16000)
-    clean = Signal(0.05 * rng.standard_normal(4000), 16000)
+    entry = _entry(bank, McConfig(n_passes=2, rng_seed=0), rng, "c", 4000)
     with pytest.raises(InvalidConfig):
-        threshold_sweep(bank, [("c", noisy, clean)], np.array([0.2, 0.1]),
-                        McConfig(n_passes=2, rng_seed=0), CFG)
+        threshold_sweep([entry], np.array([0.2, 0.1]))
 
 
 def test_threshold_sweep_endpoints_match_direct_policies():
     rng = np.random.default_rng(6)
     bank = make_bank(rng, n_models=2, in_dim=CFG.n_bins)
     mc = McConfig(n_passes=3, rng_seed=1)
-    noisy = Signal(0.05 * rng.standard_normal(6000), 16000)
-    clean = Signal(0.05 * rng.standard_normal(6000), 16000)
-    test_set = [("cond_a", noisy, clean)]
+    entry = _entry(bank, mc, rng, "cond_a", 6000)
     grid = np.array([0.0, 0.5, 1e9])
-    rows = threshold_sweep(bank, test_set, grid, mc, CFG)
+    rows = threshold_sweep([entry], grid)
     assert len(rows) == 3
     by_mu = {mu: val for mu, cond, val in rows}
 
-    from mcenhance.dsp import stft
-
-    mag = stft(noisy, CFG).magnitude
-    clean_mag = stft(clean, CFG).magnitude
-    outputs = BankOutputs(bank, mag, mc)
+    _, swept, clean_mag = entry
+    outputs = BankOutputs(bank, swept.mag, mc)  # fresh: nothing the sweep kept is reused
     var_mag, _ = select_frames(outputs, SelectionPolicy(kind=PolicyKind.VAR_MC))
     cls_mag, _ = select_frames(outputs, SelectionPolicy(kind=PolicyKind.CLASSIFIER_MC))
     var_sse, _ = sse(clean_mag, var_mag)
@@ -152,12 +153,10 @@ def test_threshold_sweep_is_pure():
     rng = np.random.default_rng(7)
     bank = make_bank(rng, n_models=2, in_dim=CFG.n_bins)
     mc = McConfig(n_passes=2, rng_seed=2)
-    noisy = Signal(0.05 * rng.standard_normal(4000), 16000)
-    clean = Signal(0.05 * rng.standard_normal(4000), 16000)
-    test_set = [("c", noisy, clean)]
+    condition, outputs, clean_mag = _entry(bank, mc, rng, "c", 4000)
     grid = np.array([0.0, 1.0])
-    r1 = threshold_sweep(bank, test_set, grid, mc, CFG)
-    r2 = threshold_sweep(bank, test_set, grid, mc, CFG)
+    r1 = threshold_sweep([(condition, outputs, clean_mag)], grid)
+    r2 = threshold_sweep([(condition, BankOutputs(bank, outputs.mag, mc), clean_mag)], grid)
     assert r1 == r2
 
 
@@ -165,13 +164,8 @@ def test_threshold_sweep_averages_over_files():
     rng = np.random.default_rng(8)
     bank = make_bank(rng, n_models=2, in_dim=CFG.n_bins)
     mc = McConfig(n_passes=2, rng_seed=3)
-    files = []
-    for k in range(3):
-        noisy = Signal(0.05 * rng.standard_normal(4000), 16000)
-        clean = Signal(0.05 * rng.standard_normal(4000), 16000)
-        files.append(("same_cond", noisy, clean))
-    rows = threshold_sweep(bank, files, np.array([0.1]), mc, CFG)
+    files = [_entry(bank, mc, rng, "same_cond", 4000) for _ in range(3)]
+    rows = threshold_sweep(files, np.array([0.1]))
     assert len(rows) == 1
-    singles = [threshold_sweep(bank, [f], np.array([0.1]), mc, CFG)[0][2]
-               for f in files]
+    singles = [threshold_sweep([f], np.array([0.1]))[0][2] for f in files]
     assert rows[0][2] == pytest.approx(np.mean(singles), rel=1e-12)

@@ -1,6 +1,6 @@
 """Config plumbing, mu resolution, report helpers, the package export
-table, which work evaluate does for a policy subset, and enhance's
-output geometry."""
+table, which work each report verb does, the baseline that train keeps,
+and enhance's output geometry."""
 
 import hashlib
 import json
@@ -12,7 +12,7 @@ import pytest
 
 import mcenhance
 from conftest import MINI
-from mcenhance import mcdrop, pipeline, selection
+from mcenhance import mcdrop, metrics, pipeline, selection
 from mcenhance.corpus import (
     NOISE_PRESETS,
     SEEN_NOISES,
@@ -23,7 +23,7 @@ from mcenhance.corpus import (
 )
 from mcenhance.dsp import FrameConfig, Signal, read_wav, write_wav
 from mcenhance.errors import InvalidConfig, MissingModels
-from mcenhance.neural import forward
+from mcenhance.neural import forward, load_model
 from mcenhance.pipeline import (
     BANK_POLICIES,
     DEFAULT_MU_GRID,
@@ -33,10 +33,14 @@ from mcenhance.pipeline import (
     _write_rows,
     bank_labels,
     load_config_file,
+    load_policy_models,
     make_config,
     resolve_mu,
+    run_correlate,
     run_enhance,
     run_evaluate,
+    run_sweep,
+    run_train,
 )
 from mcenhance.selection import load_bank
 
@@ -236,6 +240,71 @@ def test_evaluate_sweeps_each_read_expert_once_per_entry(mini_system, tmp_path, 
     sweeps.clear()
     run_evaluate(cfg, policies=["class-conv"])
     assert sweeps == {}
+
+
+def test_sweep_runs_every_expert_and_one_classifier_forward_per_entry(
+        mini_system, tmp_path, monkeypatch):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    bank = load_bank(cfg.models_dir)
+    n_entries = len(entries_for(open_dataset(cfg.corpus_dir), "test"))
+    sweeps = _record_sweeps(monkeypatch)
+    classifier_rows = []
+    original = selection.forward
+
+    def counted(model, x, *args, **kwargs):
+        if model.noise_label == "classifier":
+            classifier_rows.append(len(x))
+        return original(model, x, *args, **kwargs)
+
+    for module in (selection, metrics):
+        monkeypatch.setattr(module, "forward", counted, raising=False)
+    run_sweep(cfg, "test")
+    assert len(sweeps) == len(classifier_rows) == n_entries
+    for frames, models in sweeps.values():
+        assert sorted(m.noise_label for m in models) == sorted(bank.labels)
+    assert sorted(classifier_rows) == sorted(len(frames) for frames, _ in sweeps.values())
+
+
+def test_correlate_sweeps_the_matched_expert_once_and_reads_only_matched_entries(
+        mini_system, tmp_path, monkeypatch):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    bank = load_bank(cfg.models_dir)
+    entries = entries_for(open_dataset(cfg.corpus_dir), "test")
+    matched = [entry_id(e) for e in entries if e.noise in bank.labels]
+    assert 0 < len(matched) < len(entries)  # the split holds unseen noises too
+    sweeps = _record_sweeps(monkeypatch)
+    read = []
+    original = pipeline.load_entry_signals
+
+    def recorded(corpus_dir, entry):
+        read.append(entry)
+        return original(corpus_dir, entry)
+
+    monkeypatch.setattr(pipeline, "load_entry_signals", recorded)
+    run_correlate(cfg)
+    assert sorted(entry_id(e) for e in read) == sorted(matched)
+    assert len(sweeps) == len(matched)
+    for frames, models in sweeps.values():
+        assert len(models) == 1
+    assert sorted(models[0].noise_label for _, models in sweeps.values()) == \
+        sorted(e.noise for e in read)
+
+
+def test_train_without_separate_baseline_drops_a_stale_baseline(mini_system, tmp_path):
+    cfg = replace(mini_system, models_dir=str(tmp_path / "models"),
+                  reports_dir=str(tmp_path / "reports"), separate_baseline=True)
+    run_train(cfg, "single")
+    assert (tmp_path / "models" / "baseline.model").exists()
+    assert (tmp_path / "reports" / "loss_baseline.csv").exists()
+
+    cfg = replace(cfg, separate_baseline=False, n_epochs=1)
+    assert run_train(cfg, "single") == [tmp_path / "models" / "single.model"]
+    assert not (tmp_path / "models" / "baseline.model").exists()
+    assert not (tmp_path / "reports" / "loss_baseline.csv").exists()
+    mag = np.random.default_rng(12).uniform(0.0, 1.0, size=(5, FrameConfig().n_bins))
+    est, _ = load_policy_models(cfg, ["single-conv"]).enhance("single-conv", mag)
+    np.testing.assert_array_equal(
+        est, forward(load_model(tmp_path / "models" / "single.model"), mag)[0])
 
 
 def test_enhance_every_policy_keeps_the_frame_geometry(mini_system, tmp_path):

@@ -221,7 +221,7 @@ def test_sweep_bank_shapes():
     rng = np.random.default_rng(9)
     bank = make_bank(rng, n_models=3)
     mag = rng.uniform(0.0, 2.0, size=(5, 9))
-    means, traces = sweep_bank(bank, mag, McConfig(n_passes=4, rng_seed=0))
+    means, traces = sweep_bank(BankOutputs(bank, mag, McConfig(n_passes=4, rng_seed=0)))
     assert means.shape == (3, 5, 9)
     assert traces.shape == (3, 5)
     assert np.all(traces >= 0.0)
@@ -239,6 +239,18 @@ def test_bank_save_load_roundtrip(tmp_path):
             np.testing.assert_array_equal(wa, wb)
     cls_a, cls_b = bank.classifier, back.classifier
     np.testing.assert_array_equal(cls_a.weights[0], cls_b.weights[0])
+
+
+def test_save_bank_checks_a_present_classifier(tmp_path):
+    rng = np.random.default_rng(14)
+    bank = make_bank(rng, n_models=2)
+    bank.classifier = make_bank(rng, n_models=3).classifier  # 3 outputs, 2 experts
+    with pytest.raises(DimensionMismatch):
+        save_bank(bank, tmp_path)
+    assert not (tmp_path / "bank.json").exists()
+    bank.classifier = None
+    save_bank(bank, tmp_path)
+    assert load_bank(tmp_path).classifier is None
 
 
 def test_load_bank_rejects_deterministic_experts(tmp_path):
