@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,11 @@ _TAG_DROPOUT = 103
 
 _CE_CLAMP = 1e-12
 
+# Every network trains with Adam at these settings.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class DropoutStream:
@@ -45,16 +51,12 @@ class DropoutStream:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     batch_size: int = 128
     n_epochs: int = 15
     rng_seed: int = 0
     hidden_dims: tuple = (256, 256, 256)
     keep_prob: float = 0.8
-    optimizer: str = "adam"  # or "sgd"
     input_norm: str = "none"  # or "zscore"
 
     def __post_init__(self):
@@ -62,8 +64,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.keep_prob <= 1.0:
             raise ValueError("keep_prob must be in (0, 1]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.input_norm not in ("none", "zscore"):
             raise ValueError(f"unknown input_norm {self.input_norm!r}")
 
@@ -95,7 +95,6 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    x: np.ndarray
     zs: list
     hiddens: list
     masks: list
@@ -253,7 +252,7 @@ def forward(
     zs.append(z)
     y = relu(z) if model.output_activation == "relu" else softmax(z)
     cache = ForwardCache(
-        x=X, zs=zs, hiddens=hiddens, masks=masks, y=y,
+        zs=zs, hiddens=hiddens, masks=masks, y=y,
         layer_dims=tuple(model.layer_dims), single=single,
     )
     return (y[0] if single else y), cache
@@ -337,7 +336,7 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params/grads/state length mismatch")
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -349,60 +348,61 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def sgd_step(params: list, grads: list, cfg: TrainConfig) -> None:
-    for p, g in zip(params, grads):
-        if cfg.weight_decay:
-            g = g + cfg.weight_decay * p
-        p -= cfg.learning_rate * g
-
-
-def _train(
-    model: MlpModel,
+def _fit(
     inputs: np.ndarray,
-    grad_fn,
+    out_dim: int,
+    output_activation: str,
     loss_fn,
+    grad_fn,
     cfg: TrainConfig,
-) -> list:
-    """Shared minibatch loop; grad_fn/loss_fn close over the targets."""
+    noise_label: str,
+) -> tuple[MlpModel, list]:
+    """Build a network on checked input rows and train it with Adam on
+    shuffled minibatches; loss_fn/grad_fn(y, idx) close over the targets of
+    rows idx. Returns the model and the loss history: the pre-training loss
+    under deterministic inference, then one entry per epoch."""
     n = inputs.shape[0]
+    model = init_model(
+        [inputs.shape[1], *cfg.hidden_dims, out_dim],
+        output_activation=output_activation,
+        keep_prob=cfg.keep_prob,
+        seed=cfg.rng_seed,
+        weight_decay=cfg.weight_decay,
+        noise_label=noise_label,
+    )
+    model.n_train_frames = n
+    if cfg.input_norm == "zscore":
+        model.input_mean = inputs.mean(axis=0)
+        model.input_std = np.maximum(inputs.std(axis=0), 1e-8)
+
     rng = np.random.default_rng(np.random.SeedSequence([_TAG_SHUFFLE, cfg.rng_seed]))
     state = init_adam_state(model)
-
+    params = model.weights + model.biases
     y0, _ = forward(model, inputs)
     losses = [loss_fn(y0, np.arange(n))]
-
-    step = 0
     for _ in range(cfg.n_epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            stream = DropoutStream(seed=cfg.rng_seed, pass_index=step)
+            # Step k draws its dropout masks from pass k of the run's stream.
+            stream = DropoutStream(seed=cfg.rng_seed, pass_index=state.t)
             y, cache = forward(model, inputs[idx], stream=stream)
             epoch_loss += loss_fn(y, idx) * len(idx)
             grads = backward(model, cache, grad_fn(y, idx))
-            params = model.weights + model.biases
-            flat = grads.dweights + grads.dbiases
-            if cfg.optimizer == "adam":
-                adam_step(params, flat, state, cfg)
-            else:
-                sgd_step(params, flat, cfg)
-            step += 1
+            adam_step(params, grads.dweights + grads.dbiases, state, cfg)
         losses.append(epoch_loss / n)
-    return losses
+    return model, losses
 
 
 def train_regressor(
     noisy_mag: np.ndarray, clean_mag: np.ndarray, cfg: TrainConfig, noise_label: str = ""
 ) -> tuple[MlpModel, list]:
-    """Fit a spectral regressor on (noisy, clean) magnitude frame pairs.
-
-    Returns the model and the loss history; history[0] is the pre-training
-    loss under deterministic inference, followed by one entry per epoch.
-    """
+    """Fit a spectral regressor on (noisy, clean) magnitude frame pairs
+    with the MSLE loss; returns the model and the loss history (see _fit)."""
     noisy_mag = np.asarray(noisy_mag, dtype=np.float64)
     clean_mag = np.asarray(clean_mag, dtype=np.float64)
     if noisy_mag.size == 0 or clean_mag.size == 0:
@@ -411,29 +411,12 @@ def train_regressor(
         raise DimensionMismatch(f"{noisy_mag.shape} vs {clean_mag.shape}")
     if np.any(noisy_mag < 0) or np.any(clean_mag < 0):
         raise NegativeSpectrum("training spectra must be nonnegative")
-
-    dim = noisy_mag.shape[1]
-    model = init_model(
-        [dim, *cfg.hidden_dims, dim],
-        output_activation="relu",
-        keep_prob=cfg.keep_prob,
-        seed=cfg.rng_seed,
-        weight_decay=cfg.weight_decay,
-        noise_label=noise_label,
-    )
-    model.n_train_frames = noisy_mag.shape[0]
-    if cfg.input_norm == "zscore":
-        model.input_mean = noisy_mag.mean(axis=0)
-        model.input_std = np.maximum(noisy_mag.std(axis=0), 1e-8)
-
-    losses = _train(
-        model,
-        noisy_mag,
-        grad_fn=lambda y, idx: msle_grad(y, clean_mag[idx]),
+    return _fit(
+        noisy_mag, noisy_mag.shape[1], "relu",
         loss_fn=lambda y, idx: msle_loss(y, clean_mag[idx]),
-        cfg=cfg,
+        grad_fn=lambda y, idx: msle_grad(y, clean_mag[idx]),
+        cfg=cfg, noise_label=noise_label,
     )
-    return model, losses
 
 
 def train_classifier(
@@ -443,7 +426,8 @@ def train_classifier(
     n_classes: int | None = None,
     noise_label: str = "",
 ) -> tuple[MlpModel, list]:
-    """Fit a softmax noise classifier on labeled magnitude frames."""
+    """Fit a softmax noise classifier on labeled magnitude frames with the
+    cross-entropy loss; returns the model and the loss history (see _fit)."""
     mag_frames = np.asarray(mag_frames, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if mag_frames.size == 0:
@@ -454,33 +438,18 @@ def train_classifier(
         n_classes = int(labels.max()) + 1
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
-
-    model = init_model(
-        [mag_frames.shape[1], *cfg.hidden_dims, n_classes],
-        output_activation="softmax",
-        keep_prob=cfg.keep_prob,
-        seed=cfg.rng_seed,
-        weight_decay=cfg.weight_decay,
-        noise_label=noise_label,
-    )
-    model.n_train_frames = mag_frames.shape[0]
-    if cfg.input_norm == "zscore":
-        model.input_mean = mag_frames.mean(axis=0)
-        model.input_std = np.maximum(mag_frames.std(axis=0), 1e-8)
-
-    losses = _train(
-        model,
-        mag_frames,
-        grad_fn=lambda y, idx: cross_entropy_grad(y, labels[idx]),
+    return _fit(
+        mag_frames, n_classes, "softmax",
         loss_fn=lambda y, idx: cross_entropy_loss(y, labels[idx]),
-        cfg=cfg,
+        grad_fn=lambda y, idx: cross_entropy_grad(y, labels[idx]),
+        cfg=cfg, noise_label=noise_label,
     )
-    return model, losses
 
 
 def save_model(model: MlpModel, path) -> None:
     """Write magic, version, JSON header, then float64 parameters (W then b
-    per layer, little-endian)."""
+    per layer, little-endian). The file is written to a sibling .tmp and
+    moved into place, so an interrupted save leaves any earlier file whole."""
     header = {
         "layer_dims": list(model.layer_dims),
         "hidden_activation": "relu",
@@ -493,7 +462,9 @@ def save_model(model: MlpModel, path) -> None:
         "input_norm": "zscore" if model.input_mean is not None else "none",
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    with open(tmp, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(np.uint32(MODEL_VERSION).tobytes())
         fh.write(np.uint32(len(blob)).tobytes())
@@ -504,6 +475,7 @@ def save_model(model: MlpModel, path) -> None:
         if model.input_mean is not None:
             fh.write(model.input_mean.astype("<f8").tobytes())
             fh.write(model.input_std.astype("<f8").tobytes())
+    tmp.replace(path)
 
 
 def load_model(path) -> MlpModel:

@@ -81,7 +81,6 @@ class ExperimentConfig:
     batch_size: int = 128
     learning_rate: float = 1e-3
     weight_decay: float = 0.0
-    optimizer: str = "adam"
     input_norm: str = "zscore"
     n_train: int = 60
     n_val: int = 8
@@ -127,7 +126,6 @@ _FIELD_CHECKS = {
     "batch_size": _POSITIVE,
     "learning_rate": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
     "weight_decay": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-    "optimizer": (lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'"),
     "input_norm": (lambda v: v in ("none", "zscore"), "'none' or 'zscore'"),
     "n_train": _COUNT,
     "n_val": _COUNT,
@@ -193,7 +191,6 @@ def _train_cfg(cfg: ExperimentConfig, seed: int) -> TrainConfig:
         rng_seed=seed,
         hidden_dims=tuple(cfg.hidden_dims),
         keep_prob=cfg.keep_prob,
-        optimizer=cfg.optimizer,
         input_norm=cfg.input_norm,
     )
 
@@ -242,8 +239,6 @@ def _concat_frames(corpus_dir, entries) -> tuple[np.ndarray, np.ndarray]:
         nm, cm = load_entry_frames(corpus_dir, e)
         noisy.append(nm)
         clean.append(cm)
-    if not noisy:
-        raise EmptyDataset("no training entries matched")
     return np.concatenate(noisy), np.concatenate(clean)
 
 
@@ -253,9 +248,11 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
     if scope not in ("single", "per-noise", "classifier", "all"):
         raise InvalidConfig(f"unknown train scope {scope!r}")
     manifest = open_dataset(cfg.corpus_dir)
+    labels = bank_labels(manifest)
+    if not labels:
+        raise EmptyDataset("the corpus has no train entries")
     models_dir = Path(cfg.models_dir)
     models_dir.mkdir(parents=True, exist_ok=True)
-    labels = bank_labels(manifest)
     written = []
     trained = {}
 

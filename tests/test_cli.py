@@ -132,7 +132,7 @@ def test_non_numeric_mu_grid_exits_2(tmp_path, capsys):
     ("batch_size", 0),
     ("learning_rate", 0.0),
     ("weight_decay", -1e-4),
-    ("optimizer", "rmsprop"),
+    ("optimizer", "rmsprop"),  # not a config key: the unknown-key path
     ("input_norm", "l2"),
     ("n_train", "3"),
     ("duration_s", 0),
@@ -311,6 +311,19 @@ def test_truncated_frame_cache_exits_3(mini_system, tmp_path, capsys):
         "--reports-dir", str(tmp_path / "reports"), "single"])
     assert rc == 3  # CorruptCorpus: corpus data, not a model file
     assert "frames.mcfr" in err
+
+
+@pytest.mark.parametrize("scope", ["single", "per-noise", "classifier", "all"])
+def test_train_on_a_corpus_without_train_entries_exits_3(tmp_path, capsys, scope):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--corpus-dir", str(corpus), "--n-train", "0",
+                 "--n-val", "1", "--n-test", "1", "--duration", "0.6"]) == 0
+    rc, err = _exit_code_and_err(capsys, [
+        "train", "--corpus-dir", str(corpus), "--models-dir", str(tmp_path / "models"),
+        "--reports-dir", str(tmp_path / "reports"), scope])
+    assert rc == 3  # EmptyDataset, before any scope trains
+    assert "no train entries" in err
+    assert not (tmp_path / "models").exists()
 
 
 @pytest.mark.parametrize("where, value", [

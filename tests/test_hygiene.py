@@ -1,6 +1,7 @@
 """Source hygiene checks over the package, its tests and the names the
 benchmark traces."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
@@ -39,3 +40,13 @@ def test_every_traced_layer_resolves():
                for name in names
                if not callable(getattr(importlib.import_module(f"mcenhance.{module}"), name, None))]
     assert layers and missing == []
+
+
+def test_enhance_policy_choices_are_the_policy_names():
+    """cli.py spells the names out because it may not import numpy (through
+    pipeline) before --threads takes effect."""
+    from mcenhance import cli, pipeline
+    verbs = next(a for a in cli._build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    policy = next(a for a in verbs.choices["enhance"]._actions if a.dest == "policy")
+    assert tuple(policy.choices) == pipeline.POLICY_NAMES

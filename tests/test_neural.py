@@ -1,9 +1,11 @@
+import builtins
 import json
 
 import numpy as np
 import pytest
 
 from conftest import random_model
+from mcenhance import neural
 from mcenhance.errors import (
     CacheMismatch,
     CorruptFile,
@@ -323,16 +325,20 @@ def test_train_regressor_converges_and_logs_losses():
     assert model.layer_dims == [12, 32, 32, 12]
 
 
-def test_train_regressor_is_deterministic():
+@pytest.mark.parametrize("trainer", [train_regressor, train_classifier],
+                         ids=["regressor", "classifier"])
+def test_training_is_deterministic(tmp_path, trainer):
     rng = np.random.default_rng(50)
     clean = rng.uniform(0.0, 1.0, size=(80, 6))
     noisy = rng.uniform(0.0, 1.0, size=(80, 6))
+    targets = clean if trainer is train_regressor else rng.integers(0, 3, size=80)
     cfg = TrainConfig(n_epochs=2, batch_size=32, rng_seed=7, hidden_dims=(16,))
-    m1, l1 = train_regressor(noisy, clean, cfg)
-    m2, l2 = train_regressor(noisy, clean, cfg)
-    assert l1 == l2
-    for a, b in zip(m1.weights, m2.weights):
-        np.testing.assert_array_equal(a, b)
+    runs = []
+    for k in range(2):
+        model, losses = trainer(noisy, targets, cfg)
+        save_model(model, tmp_path / f"{k}.model")
+        runs.append((losses, (tmp_path / f"{k}.model").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_train_regressor_validation():
@@ -400,6 +406,37 @@ def test_model_save_load_roundtrip(tmp_path):
     assert back.noise_label == "pink_broadband"
     for a, b in zip(model.weights + model.biases, back.weights + back.biases):
         np.testing.assert_array_equal(a, b)
+
+
+def test_interrupted_save_keeps_the_earlier_model_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(56)
+    path = tmp_path / "m.model"
+    save_model(random_model(rng, (3, 5, 2)), path)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file that fails once 100 bytes have been written."""
+
+        def __init__(self, fh):
+            self.fh, self.room = fh, 100
+
+        def write(self, data):
+            if len(data) > self.room:
+                raise OSError(28, "No space left on device")
+            self.room -= len(data)
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(neural, "open", lambda *a, **k: DiskFull(builtins.open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_model(random_model(rng, (3, 5, 2)), path)
+    assert path.read_bytes() == before
 
 
 def test_model_file_corruption_detected(tmp_path):
@@ -470,7 +507,5 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(keep_prob=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(optimizer="momentum")
     with pytest.raises(ValueError):
         TrainConfig(input_norm="whiten")
