@@ -1,6 +1,7 @@
 """Monte Carlo dropout inference: stochastic forward passes over an
 utterance, reduced to the predictive mean and the diagonal predictive
-variance per frame."""
+variance per frame. Sweeps over one utterance can share one MaskMemo, so
+each dropout mask is drawn once however many models read it."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .neural import DropoutStream, MlpModel, forward, input_layer
+from .neural import DropoutStream, MaskMemo, MlpModel, forward, input_layer, is_int
 
 
 @dataclass
@@ -28,12 +29,14 @@ class McConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_passes < 1:
-            raise InvalidConfig("n_passes must be >= 1")
+        if not (is_int(self.n_passes) and self.n_passes >= 1):
+            raise InvalidConfig(f"n_passes must be an integer >= 1, got {self.n_passes!r}")
+        if not (is_int(self.rng_seed) and self.rng_seed >= 0):
+            raise InvalidConfig(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
         if self.tau_inv < 0 or not np.isfinite(self.tau_inv):
             raise InvalidConfig("tau_inv must be finite and nonnegative")
-        if self.prior_length_scale <= 0:
-            raise InvalidConfig("prior_length_scale must be positive")
+        if not (self.prior_length_scale > 0 and np.isfinite(self.prior_length_scale)):
+            raise InvalidConfig("prior_length_scale must be finite and positive")
 
 
 @dataclass
@@ -85,7 +88,8 @@ def _check_tau(model: MlpModel, cfg: McConfig) -> None:
 
 
 def mc_spectral_stats(
-    model: MlpModel, mag_frames: np.ndarray, cfg: McConfig
+    model: MlpModel, mag_frames: np.ndarray, cfg: McConfig, *,
+    mask_memo: MaskMemo | None = None,
 ) -> McSweep:
     """MC sweep over all frames of an utterance at once.
 
@@ -97,6 +101,11 @@ def mc_spectral_stats(
     masks and runs the remaining layers as one batched forward. The
     moments accumulate as passes arrive, so memory is O(frames x bins)
     whatever the pass count.
+
+    mask_memo, shared by the sweeps over one utterance, draws each
+    (pass, layer) mask once and serves it packed to every later sweep
+    with the same seed, width and keep probability; the result is
+    byte-identical to a sweep without it.
     """
     _check_tau(model, cfg)
     mag_frames = np.asarray(mag_frames, dtype=np.float64)
@@ -113,7 +122,7 @@ def mc_spectral_stats(
     X, h0 = input_layer(model, mag_frames)
     for t in range(cfg.n_passes):
         stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=0)
-        y, _ = forward(model, X, stream=stream, first_hidden=h0)
+        y, _ = forward(model, X, stream=stream, first_hidden=h0, mask_memo=mask_memo)
         if t == 0:
             first, total, total_sq = y, y.copy(), y * y
             same = np.ones(len(y), dtype=bool)

@@ -28,7 +28,15 @@ from .dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_w
 from .errors import EmptyDataset, InvalidConfig, MissingModels
 from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from .metrics import sse, ssnr, threshold_sweep, variance_error_correlation
-from .neural import TrainConfig, forward, load_model, save_model, train_classifier, train_regressor
+from .neural import (
+    TrainConfig,
+    forward,
+    is_int,
+    load_model,
+    save_model,
+    train_classifier,
+    train_regressor,
+)
 from .selection import (
     BankOutputs,
     ModelBank,
@@ -90,10 +98,6 @@ class ExperimentConfig:
     policies: tuple = POLICY_NAMES
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _is_finite(v) -> bool:
     try:
         return (isinstance(v, (int, float, np.integer, np.floating))
@@ -103,8 +107,8 @@ def _is_finite(v) -> bool:
 
 
 _STRING = (lambda v: isinstance(v, str), "a string")
-_COUNT = (lambda v: _is_int(v) and v >= 0, "an integer >= 0")
-_POSITIVE = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_COUNT = (lambda v: is_int(v) and v >= 0, "an integer >= 0")
+_POSITIVE = (lambda v: is_int(v) and v >= 1, "an integer >= 1")
 
 # Accepted values per config field, as (test, description). The ranges
 # are those the constructors downstream enforce, checked up front so a
@@ -119,7 +123,7 @@ _FIELD_CHECKS = {
     "mu_grid": (lambda v: len(v) > 0 and all(_is_finite(m) and m >= 0 for m in v)
                 and all(a <= b for a, b in zip(v, v[1:])),
                 "a nonempty ascending list of finite numbers >= 0"),
-    "hidden_dims": (lambda v: all(_is_int(d) and d > 0 for d in v),
+    "hidden_dims": (lambda v: all(is_int(d) and d > 0 for d in v),
                     "a list of positive integers"),
     "keep_prob": (lambda v: _is_finite(v) and 0 < v <= 1, "a number in (0, 1]"),
     "n_epochs": _COUNT,
@@ -312,7 +316,10 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
 
 def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
     """Explicit value, else the validation-selected one, else the default."""
+    test, what = _FIELD_CHECKS["mu"]
     if mu is not None:
+        if not test(mu):
+            raise InvalidConfig(f"mu must be {what}, got {mu!r}")
         return mu
     mu_star_path = Path(cfg.reports_dir) / "mu_star.json"
     if not mu_star_path.exists():
@@ -321,7 +328,6 @@ def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
         value = json.loads(mu_star_path.read_text())["mu_star"]
     except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, wrong shape
         raise InvalidConfig(f"{mu_star_path}: {exc}") from exc
-    test, what = _FIELD_CHECKS["mu"]
     if not test(value):
         raise InvalidConfig(f"{mu_star_path}: mu_star must be {what}, got {value!r}")
     return float(value)
@@ -341,12 +347,15 @@ class PolicyModels:
     def enhance(self, name: str, mag: np.ndarray, outputs: BankOutputs | None = None):
         """Enhanced magnitude frames under one policy, and the bank's
         decisions (None for the single-model policies). Bank policies route
-        over `outputs`, this utterance's BankOutputs, made here if absent."""
+        over `outputs`, this utterance's BankOutputs, made here if absent;
+        single-mc reads the dropout masks `outputs` keeps, when given."""
         model = self.single.get(name)
         if name == "single-conv":
             return forward(model, mag)[0], None
         if name == "single-mc":
-            return mc_spectral_stats(model, mag, mc_for_model(model, self.mc)).means, None
+            memo = outputs.mask_memo if outputs else None
+            return mc_spectral_stats(model, mag, mc_for_model(model, self.mc),
+                                     mask_memo=memo).means, None
         outputs = outputs or BankOutputs(self.bank, mag, self.mc)
         return select_frames(outputs, SelectionPolicy(PolicyKind(name), mu=self.mu))
 
@@ -362,8 +371,9 @@ def load_policy_models(cfg: ExperimentConfig, names, mu: float | None = None) ->
     """Check the policy names and load what they read, so every config and
     model-file error comes before any work."""
     names = _policy_names(names)
-    models = PolicyModels(mc=_mc_cfg(cfg),
-                          mu=resolve_mu(cfg, mu) if "mu-mc" in names else cfg.mu)
+    # An explicit mu is checked even when no policy reads it.
+    resolve = "mu-mc" in names or mu is not None
+    models = PolicyModels(mc=_mc_cfg(cfg), mu=resolve_mu(cfg, mu) if resolve else cfg.mu)
     if names & set(BANK_POLICIES):
         models.bank = load_bank(cfg.models_dir)
         validate_bank(models.bank,

@@ -20,7 +20,7 @@ from .errors import (
     MissingModels,
 )
 from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
-from .neural import MlpModel, forward, load_model, save_model
+from .neural import MaskMemo, MlpModel, forward, load_model, save_model
 
 BANK_MANIFEST = "bank.json"
 
@@ -177,12 +177,18 @@ class BankOutputs:
     asks and then kept, so the policies routed over one object share one
     sweep per expert. An expert always sweeps the whole frame grid, so its
     masks match row for row whichever frames chose it.
+
+    `mask_memo` is the utterance's MaskMemo: every expert sweep reads it, so a
+    mask is drawn once and kept packed (one bit per unit) for the experts
+    after the first, and for any other sweep over these frames with the
+    same MC config (evaluate's single-mc).
     """
 
     def __init__(self, bank: ModelBank, mag: np.ndarray, mc: McConfig):
         validate_bank(bank)
         self.bank, self.mc = bank, mc
         self.mag = np.asarray(mag, dtype=np.float64)
+        self.mask_memo = MaskMemo()
         self._kept = {}
 
     def posteriors(self) -> np.ndarray:
@@ -196,7 +202,8 @@ class BankOutputs:
         """Expert j's MC means [n, bins] and trace variances [n]."""
         if ("mc", j) not in self._kept:
             model = self.bank.models[j]
-            sweep = mc_spectral_stats(model, self.mag, mc_for_model(model, self.mc))
+            sweep = mc_spectral_stats(model, self.mag, mc_for_model(model, self.mc),
+                                      mask_memo=self.mask_memo)
             self._kept["mc", j] = (sweep.means, sweep.traces)
         return self._kept["mc", j]
 

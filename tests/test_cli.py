@@ -13,7 +13,7 @@ import pytest
 
 import mcenhance
 from conftest import random_model
-from mcenhance import mcdrop, selection
+from mcenhance import mcdrop, pipeline, selection
 from mcenhance.cli import main
 from mcenhance.corpus import default_manifest, entries_for, entry_id, open_dataset, save_manifest
 from mcenhance.neural import save_model
@@ -164,6 +164,31 @@ def test_bad_mu_grid_flag_exits_2_before_any_sweep(mini_cli, capsys, monkeypatch
         monkeypatch.setattr(module, "mc_spectral_stats", counted)
     rc, err = _exit_code_and_err(capsys, ["sweep", *flags, f"--mu-grid={grid}"])
     assert rc == 2 and "mu_grid" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "-1"])
+def test_bad_mu_flag_exits_2_before_any_work(mini_cli, capsys, monkeypatch, mu):
+    cfg, flags, tmp = mini_cli
+    calls = []
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return counted
+
+    for module in (mcdrop, selection, pipeline):
+        monkeypatch.setattr(module, "mc_spectral_stats", spy("mc", mcdrop.mc_spectral_stats))
+    for name in ("read_wav", "stft"):
+        monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
+    for policies in ("var-mc,class-mc,mu-mc", "var-mc"):
+        rc, err = _exit_code_and_err(capsys, [
+            "evaluate", *flags, f"--policies={policies}", f"--mu={mu}"])
+        assert rc == 2 and "mu must be" in err
+    rc, err = _exit_code_and_err(capsys, [
+        "enhance", *flags, "mu-mc", f"--mu={mu}", _noisy_wav(cfg), str(tmp / "out.wav")])
+    assert rc == 2 and "mu must be" in err
     assert calls == []
 
 

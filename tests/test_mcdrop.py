@@ -11,7 +11,7 @@ from mcenhance.mcdrop import (
     mc_spectral_stats,
     tau_inverse,
 )
-from mcenhance.neural import DropoutStream, forward
+from mcenhance.neural import DropoutStream, MaskMemo, forward
 
 
 def materialised_stats(model, mag, cfg, row_offset=0):
@@ -212,6 +212,27 @@ def test_streaming_sweep_memory_does_not_grow_with_passes():
     assert peak < 8 * T * n * model.out_dim / 2
 
 
+def test_mask_memo_keeps_one_bit_per_unit():
+    # Packed, a T = 50 sweep's masks are T*L*ceil(n*w/8) bytes; as float64
+    # they would be 64 times that, as bool 8 times. The rest is the keys
+    # and array headers, about 300 bytes a mask.
+    rng = np.random.default_rng(26)
+    model = random_model(rng, (40, 64, 48, 64, 40), keep_prob=0.8)
+    n, T = 400, 50
+    mag = rng.uniform(0.0, 2.0, size=(n, 40))
+    packed = T * sum(-(-n * w // 8) for w in (64, 48, 64))
+    memo = MaskMemo()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        sweep = mc_spectral_stats(model, mag, McConfig(n_passes=T), mask_memo=memo)
+        del sweep
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert packed <= held - before < 1.5 * packed
+
+
 def test_sweep_rejects_non_finite_frames():
     rng = np.random.default_rng(25)
     model = random_model(rng, (6, 8, 8, 6), keep_prob=0.8)
@@ -224,12 +245,20 @@ def test_sweep_rejects_non_finite_frames():
 
 
 def test_mc_config_validation():
-    with pytest.raises(InvalidConfig):
-        McConfig(n_passes=0)
-    with pytest.raises(InvalidConfig):
-        McConfig(tau_inv=-0.1)
-    with pytest.raises(InvalidConfig):
-        McConfig(prior_length_scale=0.0)
+    for field, value in [
+        ("n_passes", 0), ("n_passes", -3), ("n_passes", 2.5), ("n_passes", 3.0),
+        ("n_passes", True), ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", None),
+        ("tau_inv", -0.1), ("tau_inv", np.inf), ("tau_inv", np.nan),
+        ("prior_length_scale", 0.0), ("prior_length_scale", -1.0),
+        ("prior_length_scale", np.inf), ("prior_length_scale", np.nan),
+    ]:
+        with pytest.raises(InvalidConfig, match=field):
+            McConfig(**{field: value})
+
+
+def test_mc_config_takes_numpy_integers():
+    cfg = McConfig(n_passes=np.int64(3), rng_seed=np.uint32(7))
+    assert (cfg.n_passes, cfg.rng_seed) == (3, 7)
 
 
 def test_single_pass_sweep_is_one_stochastic_forward():

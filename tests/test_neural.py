@@ -11,6 +11,7 @@ from mcenhance.errors import (
     CorruptFile,
     DimensionMismatch,
     EmptyDataset,
+    InvalidConfig,
     LabelOutOfRange,
     NegativeSpectrum,
     NonFiniteInput,
@@ -20,6 +21,7 @@ from mcenhance.errors import (
 from mcenhance.neural import (
     AdamState,
     DropoutStream,
+    MaskMemo,
     MlpModel,
     TrainConfig,
     adam_step,
@@ -251,6 +253,38 @@ def test_dropout_mask_row_offset_matches_batch():
         solo = dropout_mask(DropoutStream(seed=9, pass_index=0, row_offset=i),
                             0, 1, 33, 0.75)
         np.testing.assert_array_equal(batch[i], solo[0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 2.0), ("seed", True), ("seed", "3"),
+    ("pass_index", -1), ("pass_index", 0.5), ("pass_index", None),
+    ("row_offset", -1), ("row_offset", 1.5), ("row_offset", False),
+])
+def test_dropout_stream_refuses_what_is_no_stream_address(field, value):
+    # A negative row offset would name words before the stream's row 0.
+    with pytest.raises(InvalidConfig, match=field):
+        DropoutStream(**{"seed": 0, field: value})
+
+
+def test_mask_memo_draws_each_mask_once_and_rebuilds_it_bit_for_bit(monkeypatch):
+    draws = []
+    original = neural.dropout_mask
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(neural, "dropout_mask", counted)
+    memo = MaskMemo()
+    calls = [(DropoutStream(seed=5, pass_index=t, row_offset=r), l, n, w, p)
+             for t in (0, 1) for r in (0, 3) for l in (0, 2)
+             for n, w, p in ((7, 13, 0.8), (7, 13, 0.6), (7, 16, 0.8), (4, 13, 0.8))]
+    for _ in range(3):
+        for args in calls:
+            got = memo(*args)
+            assert got.dtype == np.float64
+            assert got.tobytes() == original(*args).tobytes()
+    assert draws == calls  # every key misses once, then always hits
 
 
 def test_dropout_mask_is_unbiased():

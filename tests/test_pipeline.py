@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import mcenhance
-from conftest import MINI
-from mcenhance import mcdrop, metrics, pipeline, selection
+from conftest import MINI, random_model
+from mcenhance import mcdrop, metrics, neural, pipeline, selection
 from mcenhance.corpus import (
     NOISE_PRESETS,
     SEEN_NOISES,
@@ -23,12 +23,14 @@ from mcenhance.corpus import (
 )
 from mcenhance.dsp import FrameConfig, Signal, read_wav, write_wav
 from mcenhance.errors import InvalidConfig, MissingModels
+from mcenhance.mcdrop import McConfig
 from mcenhance.neural import forward, load_model
 from mcenhance.pipeline import (
     BANK_POLICIES,
     DEFAULT_MU_GRID,
     POLICY_NAMES,
     ExperimentConfig,
+    PolicyModels,
     _select_mu_star,
     _write_rows,
     bank_labels,
@@ -42,7 +44,7 @@ from mcenhance.pipeline import (
     run_sweep,
     run_train,
 )
-from mcenhance.selection import load_bank
+from mcenhance.selection import BankOutputs, ModelBank, load_bank
 
 
 def test_make_config_defaults():
@@ -101,6 +103,13 @@ def test_resolve_mu_precedence(tmp_path):
     (tmp_path / "mu_star.json").write_text(json.dumps({"mu_star": 0.08}))
     assert resolve_mu(cfg) == 0.08
     assert resolve_mu(cfg, mu=0.5) == 0.5
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -1.0, -1e-9])
+def test_resolve_mu_checks_an_explicit_value(tmp_path, mu):
+    cfg = ExperimentConfig(reports_dir=str(tmp_path))
+    with pytest.raises(InvalidConfig, match="mu must be"):
+        resolve_mu(cfg, mu=mu)
 
 
 def test_select_mu_star_smallest_within_guardrail():
@@ -208,10 +217,10 @@ def _record_sweeps(monkeypatch) -> dict:
     sweeps = {}
     original = mcdrop.mc_spectral_stats
 
-    def counted(model, frames, cfg):
+    def counted(model, frames, cfg, **kwargs):
         key = hashlib.md5(np.ascontiguousarray(frames).tobytes()).hexdigest()
         sweeps.setdefault(key, (frames, []))[1].append(model)
-        return original(model, frames, cfg)
+        return original(model, frames, cfg, **kwargs)
 
     for module in (mcdrop, selection, pipeline):
         monkeypatch.setattr(module, "mc_spectral_stats", counted)
@@ -240,6 +249,46 @@ def test_evaluate_sweeps_each_read_expert_once_per_entry(mini_system, tmp_path, 
     sweeps.clear()
     run_evaluate(cfg, policies=["class-conv"])
     assert sweeps == {}
+
+
+def _count_mask_draws(monkeypatch) -> list:
+    draws = []
+    original = neural.dropout_mask
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(neural, "dropout_mask", counted)
+    return draws
+
+
+@pytest.mark.parametrize("n_models", [1, 2, 5])
+def test_one_utterance_draws_each_mask_once_whatever_the_bank_size(monkeypatch, n_models):
+    rng = np.random.default_rng(40 + n_models)
+    dims = (9, 12, 12, 12, 9)  # L = 3 dropout layers
+    bank = ModelBank(
+        models=[random_model(rng, dims) for _ in range(n_models)],
+        labels=[f"noise_{j}" for j in range(n_models)],
+        classifier=random_model(rng, (9, 10, n_models), output_activation="softmax"))
+    models = PolicyModels(mc=McConfig(n_passes=7, rng_seed=5), mu=0.5,
+                          single={"single-conv": bank.models[0],
+                                  "single-mc": random_model(rng, dims)},
+                          bank=bank)
+    mag = rng.uniform(0.0, 2.0, size=(10, 9))
+    draws = _count_mask_draws(monkeypatch)
+    outputs = BankOutputs(bank, mag, models.mc)
+    for name in POLICY_NAMES:  # as run_evaluate routes one entry
+        models.enhance(name, mag, outputs)
+    assert len(draws) == len(set(draws)) == 7 * 3
+
+
+def test_evaluate_draws_each_mask_once_per_entry(mini_system, tmp_path, monkeypatch):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    n_entries = len(entries_for(open_dataset(cfg.corpus_dir), "test"))
+    draws = _count_mask_draws(monkeypatch)
+    run_evaluate(cfg)  # single-mc plus every expert on every entry
+    assert len(draws) == n_entries * cfg.n_passes * len(cfg.hidden_dims)
 
 
 def test_sweep_runs_every_expert_and_one_classifier_forward_per_entry(

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import random_model
-from mcenhance import selection
+from mcenhance import neural, selection
 from mcenhance.errors import (
     DimensionMismatch,
     EmptyBank,
@@ -16,7 +16,7 @@ from mcenhance.errors import (
     McenError,
     MissingModels,
 )
-from mcenhance.mcdrop import McConfig, mc_for_model
+from mcenhance.mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from mcenhance.neural import forward
 from mcenhance.selection import (
     BankOutputs,
@@ -227,6 +227,38 @@ def test_sweep_bank_shapes():
     assert np.all(traces >= 0.0)
 
 
+def test_shared_masks_leave_every_sweep_byte_identical(monkeypatch):
+    # Experts that differ in keep_prob, width, depth and precision term
+    # share only the masks whose every dropout_mask argument matches;
+    # the rest miss and draw their own.
+    rng = np.random.default_rng(17)
+    shapes = [((9, 12, 12, 9), 0.7, 0.0), ((9, 12, 12, 9), 0.7, 1e-3),
+              ((9, 16, 12, 9), 0.7, 0.0), ((9, 12, 12, 9), 0.8, 0.0),
+              ((9, 12, 9), 0.7, 0.0)]
+    models = [random_model(rng, dims, keep_prob=p, weight_decay=wd)
+              for dims, p, wd in shapes]
+    bank = ModelBank(models=models, labels=[f"noise_{j}" for j in range(5)])
+    mag = rng.uniform(0.0, 2.0, size=(11, 9))
+    mc = McConfig(n_passes=6, rng_seed=2)
+    alone = [mc_spectral_stats(m, mag, mc_for_model(m, mc)) for m in models]
+
+    draws = []
+    original = neural.dropout_mask
+
+    def counted(*args):
+        draws.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(neural, "dropout_mask", counted)
+    outputs = BankOutputs(bank, mag, mc)
+    for j in (4, 2, 0, 3, 1):
+        means, traces = outputs.mc_stats(j)
+        np.testing.assert_array_equal(means, alone[j].means)
+        np.testing.assert_array_equal(traces, alone[j].traces)
+    # (layer, width, keep): (0,12,.7) (1,12,.7) (0,16,.7) (0,12,.8) (1,12,.8)
+    assert len(draws) == 5 * mc.n_passes == len(set(draws)) * mc.n_passes
+
+
 def test_bank_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     bank = make_bank(rng, n_models=3)
@@ -319,9 +351,9 @@ def test_bank_outputs_run_each_expert_once_and_only_when_read(monkeypatch):
     calls = []
     original = selection.mc_spectral_stats
 
-    def counted(model, frames, cfg):
+    def counted(model, frames, cfg, **kwargs):
         calls.append([m is model for m in bank.models].index(True))
-        return original(model, frames, cfg)
+        return original(model, frames, cfg, **kwargs)
 
     monkeypatch.setattr(selection, "mc_spectral_stats", counted)
     outputs = BankOutputs(bank, mag, McConfig(n_passes=3, rng_seed=1))
