@@ -2,6 +2,10 @@
 
 Verbs: synth, train, enhance, evaluate, correlate, sweep.  Exit codes:
 0 success, 2 usage, 3 data or runtime failure, 4 missing or corrupt model files.
+
+A flag that names a config key (--seed, --epochs, --policies, --mu-grid, ...)
+overrides that key and is checked like it before the verb runs.  single-conv
+and single-mc both decode the one model that `train single` writes.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[common], help="train one model scope")
     p.add_argument("scope", choices=("single", "per-noise", "classifier", "all"))
     p.add_argument("--epochs", type=int, help="training epochs")
-    p.add_argument("--separate-baseline", action="store_true",
-                   help="also train an independently seeded baseline for "
-                        "the deterministic policy")
 
     p = sub.add_parser("enhance", parents=[common], help="enhance one WAV file")
     p.add_argument("policy", choices=("single-conv", "single-mc", "class-conv",
@@ -58,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(default: alongside the output)")
 
     p = sub.add_parser("evaluate", parents=[common], help="score policies on a split")
-    p.add_argument("--policies", help="comma-separated subset of policies")
+    p.add_argument("--policies", help="comma-separated distinct policies "
+                   "(overrides the config's policies)")
     p.add_argument("--mu", type=float, help="mu-mc threshold override")
     p.add_argument("--split", default="test", choices=("val", "test"))
 
@@ -115,8 +117,8 @@ def main(argv=None) -> int:
                              n_test=args.n_test, duration_s=args.duration)
         if args.verb == "train":
             overrides.update(n_epochs=args.epochs)
-            if args.separate_baseline:
-                overrides["separate_baseline"] = True
+        if args.verb == "evaluate" and args.policies is not None:
+            overrides["policies"] = args.policies.split(",")
         if args.verb == "sweep" and args.mu_grid:
             try:
                 overrides["mu_grid"] = [float(tok) for tok in args.mu_grid.split(",")]
@@ -137,9 +139,7 @@ def main(argv=None) -> int:
                                        decisions_path=args.decisions)
             print(f"wrote {out}")
         elif args.verb == "evaluate":
-            policies = (args.policies.split(",") if args.policies else None)
-            rows = pipeline.run_evaluate(cfg, policies=policies, mu=args.mu,
-                                         split=args.split)
+            rows = pipeline.run_evaluate(cfg, mu=args.mu, split=args.split)
             for r in rows:
                 print(f"{r['condition']:>18} {r['snr_db']:+3d} dB "
                       f"{r['policy']:<11} sse={r['sse']:.6g} "

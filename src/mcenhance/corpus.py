@@ -579,15 +579,12 @@ def open_dataset(dataset_dir) -> DatasetManifest:
     return load_manifest(dataset_dir / "manifest.json")
 
 
-def entries_for(manifest: DatasetManifest, split: str,
-                noise: str | None = None, snr_db: int | None = None) -> list:
+def entries_for(manifest: DatasetManifest, split: str, noise: str | None = None) -> list:
     out = []
     for e in manifest.entries:
         if e.split != split:
             continue
         if noise is not None and e.noise != noise:
-            continue
-        if snr_db is not None and e.snr_db != snr_db:
             continue
         out.append(e)
     return out

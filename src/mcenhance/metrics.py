@@ -100,9 +100,8 @@ def threshold_sweep(test_set, mu_values: np.ndarray) -> list:
         policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=float(mu))
         totals = {c: [] for c in conditions}
         for condition, se, traces, posteriors in cached:
-            n = se.shape[1]
-            chosen, _ = route_frames(policy, traces, posteriors, n)
-            totals[condition].append(float(se[chosen, np.arange(n)].sum()))
+            chosen, _ = route_frames(policy, traces, posteriors)
+            totals[condition].append(float(se[chosen, np.arange(len(chosen))].sum()))
         for condition in conditions:
             rows.append((float(mu), condition, float(np.mean(totals[condition]))))
     return rows

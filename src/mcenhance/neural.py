@@ -196,7 +196,8 @@ def dropout_mask(
     g = _mask_rng(stream.seed, stream.pass_index, layer_index)
     offset = stream.row_offset * width
     # Philox advances in 4-word blocks; burn the sub-block remainder.
-    g.bit_generator.advance(offset // 4)
+    # advance() overflows on a numpy integer, so it takes a Python int.
+    g.bit_generator.advance(int(offset // 4))
     if offset % 4:
         g.bit_generator.random_raw(offset % 4)
     u = g.random((n_rows, width))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import EmptyDataset, InvalidConfig, MissingModels
 from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from .metrics import sse, ssnr, threshold_sweep, variance_error_correlation
 from .neural import (
+    MlpModel,
     TrainConfig,
     forward,
     is_int,
@@ -67,7 +68,6 @@ MU_GUARDRAIL = 1.05
 _TAG_MC = 301
 _TAG_EXPERT = 401
 _TAG_SINGLE = 402
-_TAG_BASELINE = 403
 _TAG_CLASSIFIER = 404
 
 
@@ -94,7 +94,6 @@ class ExperimentConfig:
     n_val: int = 8
     n_test: int = 20
     duration_s: float = 2.0
-    separate_baseline: bool = False
     policies: tuple = POLICY_NAMES
 
 
@@ -135,10 +134,16 @@ _FIELD_CHECKS = {
     "n_val": _COUNT,
     "n_test": _COUNT,
     "duration_s": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
-    "separate_baseline": (lambda v: isinstance(v, bool), "true or false"),
-    "policies": (lambda v: all(p in POLICY_NAMES for p in v),
-                 f"a list of policy names ({', '.join(POLICY_NAMES)})"),
+    "policies": (lambda v: len(v) > 0 and all(p in POLICY_NAMES for p in v)
+                 and len(set(v)) == len(v),
+                 f"a nonempty list of distinct policy names ({', '.join(POLICY_NAMES)})"),
 }
+
+
+def _check_field(key: str, value) -> None:
+    test, what = _FIELD_CHECKS[key]
+    if not test(value):
+        raise InvalidConfig(f"{key} must be {what}, got {value!r}")
 
 
 def make_config(file_data: dict | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -159,9 +164,7 @@ def make_config(file_data: dict | None = None, overrides: dict | None = None) ->
                 raise InvalidConfig(f"{key} must be a list, got {merged[key]!r}")
             merged[key] = tuple(merged[key])
     for key, value in merged.items():
-        test, what = _FIELD_CHECKS[key]
-        if not test(value):
-            raise InvalidConfig(f"{key} must be {what}, got {value!r}")
+        _check_field(key, value)
     return ExperimentConfig(**merged)
 
 
@@ -273,13 +276,6 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
         save("single", train_regressor(
             noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_SINGLE)),
             noise_label="all"))
-        if cfg.separate_baseline:
-            save("baseline", train_regressor(
-                noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_BASELINE)),
-                noise_label="all"))
-        else:  # single-conv reads a baseline whenever one exists
-            (models_dir / "baseline.model").unlink(missing_ok=True)
-            (Path(cfg.reports_dir) / "loss_baseline.csv").unlink(missing_ok=True)
 
     if scope in ("per-noise", "all"):
         for j, label in enumerate(labels):
@@ -316,10 +312,8 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
 
 def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
     """Explicit value, else the validation-selected one, else the default."""
-    test, what = _FIELD_CHECKS["mu"]
     if mu is not None:
-        if not test(mu):
-            raise InvalidConfig(f"mu must be {what}, got {mu!r}")
+        _check_field("mu", mu)
         return mu
     mu_star_path = Path(cfg.reports_dir) / "mu_star.json"
     if not mu_star_path.exists():
@@ -328,6 +322,7 @@ def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
         value = json.loads(mu_star_path.read_text())["mu_star"]
     except (ValueError, KeyError, TypeError) as exc:  # bad JSON or UTF-8, wrong shape
         raise InvalidConfig(f"{mu_star_path}: {exc}") from exc
+    test, what = _FIELD_CHECKS["mu"]
     if not test(value):
         raise InvalidConfig(f"{mu_star_path}: mu_star must be {what}, got {value!r}")
     return float(value)
@@ -335,13 +330,13 @@ def resolve_mu(cfg: ExperimentConfig, mu: float | None = None) -> float:
 
 @dataclass
 class PolicyModels:
-    """Everything a set of policy names reads, loaded once: the model of
-    each single-model policy, the bank, mu-mc's threshold and the MC
-    config."""
+    """Everything a set of policy names reads, loaded once: the single
+    model (both single policies decode it), the bank, mu-mc's threshold
+    and the MC config."""
 
     mc: McConfig
     mu: float
-    single: dict = field(default_factory=dict)  # single-conv/single-mc -> model
+    single: MlpModel | None = None
     bank: ModelBank | None = None
 
     def enhance(self, name: str, mag: np.ndarray, outputs: BankOutputs | None = None):
@@ -349,28 +344,21 @@ class PolicyModels:
         decisions (None for the single-model policies). Bank policies route
         over `outputs`, this utterance's BankOutputs, made here if absent;
         single-mc reads the dropout masks `outputs` keeps, when given."""
-        model = self.single.get(name)
         if name == "single-conv":
-            return forward(model, mag)[0], None
+            return forward(self.single, mag)[0], None
         if name == "single-mc":
             memo = outputs.mask_memo if outputs else None
-            return mc_spectral_stats(model, mag, mc_for_model(model, self.mc),
+            return mc_spectral_stats(self.single, mag, mc_for_model(self.single, self.mc),
                                      mask_memo=memo).means, None
         outputs = outputs or BankOutputs(self.bank, mag, self.mc)
         return select_frames(outputs, SelectionPolicy(PolicyKind(name), mu=self.mu))
 
 
-def _policy_names(names) -> set:
-    names = set(names)
-    if not names <= set(POLICY_NAMES):
-        raise InvalidConfig(f"unknown policy {', '.join(sorted(names - set(POLICY_NAMES)))}")
-    return names
-
-
 def load_policy_models(cfg: ExperimentConfig, names, mu: float | None = None) -> PolicyModels:
     """Check the policy names and load what they read, so every config and
     model-file error comes before any work."""
-    names = _policy_names(names)
+    _check_field("policies", tuple(names))
+    names = set(names)
     # An explicit mu is checked even when no policy reads it.
     resolve = "mu-mc" in names or mu is not None
     models = PolicyModels(mc=_mc_cfg(cfg), mu=resolve_mu(cfg, mu) if resolve else cfg.mu)
@@ -378,14 +366,11 @@ def load_policy_models(cfg: ExperimentConfig, names, mu: float | None = None) ->
         models.bank = load_bank(cfg.models_dir)
         validate_bank(models.bank,
                       need_classifier=bool(names & {"class-conv", "class-mc", "mu-mc"}))
-    models_dir = Path(cfg.models_dir)
-    for name in names & {"single-conv", "single-mc"}:
-        path = models_dir / "single.model"
-        if name == "single-conv" and (models_dir / "baseline.model").exists():
-            path = models_dir / "baseline.model"
+    if names & {"single-conv", "single-mc"}:
+        path = Path(cfg.models_dir) / "single.model"
         if not path.exists():
             raise MissingModels(f"no single-model file at {path}")
-        models.single[name] = load_model(path)
+        models.single = load_model(path)
     return models
 
 
@@ -433,18 +418,13 @@ def _read_split(cfg: ExperimentConfig, manifest: DatasetManifest, split: str,
     return [(condition, entries, read(entries)) for condition, entries in groups.items()]
 
 
-def run_evaluate(
-    cfg: ExperimentConfig,
-    policies=None,
-    mu: float | None = None,
-    split: str = "test",
-) -> list:
-    """Mean SSE and SSNR per (noise, SNR, policy); writes eval.csv.
+def run_evaluate(cfg: ExperimentConfig, mu: float | None = None, split: str = "test") -> list:
+    """Mean SSE and SSNR per (noise, SNR, policy) for each of cfg.policies;
+    writes eval.csv.
 
     Returns dict rows so callers can assert on them directly.
     """
-    policies = list(policies if policies is not None else cfg.policies)
-    _policy_names(policies)  # a usage error comes before a missing corpus
+    policies = cfg.policies
     manifest = open_dataset(cfg.corpus_dir)
     frame = manifest.frame
     models = load_policy_models(cfg, policies, mu)

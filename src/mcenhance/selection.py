@@ -147,19 +147,20 @@ def route_frames(
     policy: SelectionPolicy,
     traces: np.ndarray | None,
     posteriors: np.ndarray | None,
-    n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Chosen model index per frame plus a variance-route mask.
+    """Chosen model index per frame plus a variance-route mask, from
+    traces [M, n] and posteriors [n, M] (either None when the policy does
+    not read it).
 
     Pure function of the cached statistics, so any caller holding a bank
     sweep reproduces the policy's decisions exactly.
     """
     if policy.kind in (PolicyKind.CLASSIFIER_CONV, PolicyKind.CLASSIFIER_MC):
         chosen = np.argmax(posteriors, axis=1)
-        var_route = np.zeros(n, dtype=bool)
+        var_route = np.zeros_like(chosen, dtype=bool)
     elif policy.kind is PolicyKind.VAR_MC:
         chosen = np.argmin(traces, axis=0)
-        var_route = np.ones(n, dtype=bool)
+        var_route = np.ones_like(chosen, dtype=bool)
     elif policy.kind is PolicyKind.MU_MC:
         var_route = traces.min(axis=0) > policy.mu
         chosen = np.where(var_route,
@@ -237,9 +238,8 @@ def select_frames(
     kind = policy.kind
     posteriors = None if kind is PolicyKind.VAR_MC else outputs.posteriors()
     traces = outputs.traces() if kind in (PolicyKind.VAR_MC, PolicyKind.MU_MC) else None
-    n = len(outputs.mag)
-    chosen, var_route = route_frames(policy, traces, posteriors, n)
-    out = np.empty((n, outputs.bank.models[0].out_dim))
+    chosen, var_route = route_frames(policy, traces, posteriors)
+    out = np.empty((len(chosen), outputs.bank.models[0].out_dim))
     for j in np.unique(chosen):
         rows = chosen == j
         out[rows] = (outputs.deterministic(j) if kind is PolicyKind.CLASSIFIER_CONV

@@ -13,7 +13,7 @@ import pytest
 
 import mcenhance
 from conftest import random_model
-from mcenhance import mcdrop, pipeline, selection
+from mcenhance import corpus, mcdrop, pipeline, selection
 from mcenhance.cli import main
 from mcenhance.corpus import default_manifest, entries_for, entry_id, open_dataset, save_manifest
 from mcenhance.neural import save_model
@@ -136,8 +136,10 @@ def test_non_numeric_mu_grid_exits_2(tmp_path, capsys):
     ("input_norm", "l2"),
     ("n_train", "3"),
     ("duration_s", 0),
-    ("separate_baseline", "yes"),
+    ("separate_baseline", "yes"),  # not a config key: the unknown-key path
     ("policies", ["var-mc", "best"]),
+    ("policies", []),
+    ("policies", ["var-mc", "var-mc"]),
 ])
 def test_bad_config_value_exits_2(tmp_path, capsys, key, value):
     # Without the check, sweep would stop on the missing corpus (exit 3)
@@ -190,6 +192,30 @@ def test_bad_mu_flag_exits_2_before_any_work(mini_cli, capsys, monkeypatch, mu):
         "enhance", *flags, "mu-mc", f"--mu={mu}", _noisy_wav(cfg), str(tmp / "out.wav")])
     assert rc == 2 and "mu must be" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("policies", ["var-mc,var-mc", ""])
+def test_bad_policies_flag_exits_2_before_any_wav_is_read(mini_cli, capsys, monkeypatch, policies):
+    _, flags, _ = mini_cli
+    calls = []
+    original = corpus.read_wav
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (corpus, pipeline):
+        monkeypatch.setattr(module, "read_wav", counted)
+    rc, err = _exit_code_and_err(capsys, ["evaluate", *flags, f"--policies={policies}"])
+    assert rc == 2 and "policies must be" in err
+    assert calls == []
+
+
+def test_separate_baseline_flag_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "single", "--separate-baseline", "--corpus-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--separate-baseline" in capsys.readouterr().err
 
 
 def test_missing_corpus_exits_3(tmp_path):

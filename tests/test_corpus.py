@@ -334,8 +334,6 @@ def test_entries_for_filters(small_built):
     pink = entries_for(manifest, "train", noise="pink_broadband")
     assert all(e.noise == "pink_broadband" for e in pink)
     assert len(pink) == 2
-    at0 = entries_for(manifest, "train", snr_db=0)
-    assert all(e.snr_db == 0 for e in at0)
 
 
 def test_load_entry_frames_missing(small_built):

@@ -4,6 +4,7 @@ benchmark traces."""
 import argparse
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,6 +41,14 @@ def test_every_traced_layer_resolves():
                for name in names
                if not callable(getattr(importlib.import_module(f"mcenhance.{module}"), name, None))]
     assert layers and missing == []
+
+
+def test_every_config_field_has_exactly_one_check():
+    """make_config checks each key through _FIELD_CHECKS, so a field
+    without an entry would fail at lookup and an entry without a field
+    is dead."""
+    from mcenhance import pipeline
+    assert set(pipeline._FIELD_CHECKS) == {f.name for f in fields(pipeline.ExperimentConfig)}
 
 
 def test_enhance_policy_choices_are_the_policy_names():

@@ -255,6 +255,13 @@ def test_dropout_mask_row_offset_matches_batch():
         np.testing.assert_array_equal(batch[i], solo[0])
 
 
+@pytest.mark.parametrize("offset", [np.int64(3), np.int32(8), np.uint64(1)])
+def test_dropout_mask_takes_a_numpy_row_offset(offset):
+    np.testing.assert_array_equal(
+        dropout_mask(DropoutStream(4, 2, offset), 0, 2, 5, 0.8),
+        dropout_mask(DropoutStream(4, 2, int(offset)), 0, 2, 5, 0.8))
+
+
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("seed", 2.0), ("seed", True), ("seed", "3"),
     ("pass_index", -1), ("pass_index", 0.5), ("pass_index", None),

@@ -1,11 +1,12 @@
 """Config plumbing, mu resolution, report helpers, the package export
-table, which work each report verb does, the baseline that train keeps,
-and enhance's output geometry."""
+table, which work each report verb does, the one model both single
+policies read, and enhance's output geometry."""
 
 import hashlib
 import json
 import shutil
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from mcenhance.pipeline import (
     run_enhance,
     run_evaluate,
     run_sweep,
-    run_train,
 )
 from mcenhance.selection import BankOutputs, ModelBank, load_bank
 
@@ -191,10 +191,10 @@ def test_class_conv_evaluate_runs_no_mc_sweep(mini_system, tmp_path, monkeypatch
 
     for module in (mcdrop, selection, pipeline):
         monkeypatch.setattr(module, "mc_spectral_stats", counted)
-    rows = run_evaluate(cfg, policies=["class-conv"])
+    rows = run_evaluate(replace(cfg, policies=["class-conv"]))
     assert calls == []
     assert rows == full
-    run_evaluate(cfg, policies=["var-mc"])
+    run_evaluate(replace(cfg, policies=["var-mc"]))
     assert calls  # the counter does see the sweeps
 
 
@@ -206,10 +206,10 @@ def test_evaluate_on_a_bank_without_classifier(mini_system, tmp_path):
     manifest["classifier_file"] = None
     (models / "bank.json").write_text(json.dumps(manifest))
     cfg = replace(mini_system, models_dir=str(models), reports_dir=str(tmp_path))
-    assert [r["policy"] for r in run_evaluate(cfg, policies=["var-mc"])]
+    assert [r["policy"] for r in run_evaluate(replace(cfg, policies=["var-mc"]))]
     for policy in ("class-conv", "class-mc", "mu-mc"):
         with pytest.raises(MissingModels):
-            run_evaluate(cfg, policies=[policy])
+            run_evaluate(replace(cfg, policies=[policy]))
 
 
 def _record_sweeps(monkeypatch) -> dict:
@@ -239,7 +239,7 @@ def test_evaluate_sweeps_each_read_expert_once_per_entry(mini_system, tmp_path, 
         assert len(models) == len({id(m) for m in models}) == 1 + len(bank.models)
 
     sweeps.clear()
-    run_evaluate(cfg, policies=["class-mc"])  # only the experts some frame chooses
+    run_evaluate(replace(cfg, policies=["class-mc"]))  # only the experts some frame chooses
     assert len(sweeps) == n_entries
     for frames, models in sweeps.values():
         chosen = np.unique(np.argmax(forward(bank.classifier, frames)[0], axis=1))
@@ -247,7 +247,7 @@ def test_evaluate_sweeps_each_read_expert_once_per_entry(mini_system, tmp_path, 
         assert sorted(m.noise_label for m in models) == sorted(bank.labels[j] for j in chosen)
 
     sweeps.clear()
-    run_evaluate(cfg, policies=["class-conv"])
+    run_evaluate(replace(cfg, policies=["class-conv"]))
     assert sweeps == {}
 
 
@@ -272,9 +272,7 @@ def test_one_utterance_draws_each_mask_once_whatever_the_bank_size(monkeypatch, 
         labels=[f"noise_{j}" for j in range(n_models)],
         classifier=random_model(rng, (9, 10, n_models), output_activation="softmax"))
     models = PolicyModels(mc=McConfig(n_passes=7, rng_seed=5), mu=0.5,
-                          single={"single-conv": bank.models[0],
-                                  "single-mc": random_model(rng, dims)},
-                          bank=bank)
+                          single=random_model(rng, dims), bank=bank)
     mag = rng.uniform(0.0, 2.0, size=(10, 9))
     draws = _count_mask_draws(monkeypatch)
     outputs = BankOutputs(bank, mag, models.mc)
@@ -339,21 +337,34 @@ def test_correlate_sweeps_the_matched_expert_once_and_reads_only_matched_entries
         sorted(e.noise for e in read)
 
 
-def test_train_without_separate_baseline_drops_a_stale_baseline(mini_system, tmp_path):
-    cfg = replace(mini_system, models_dir=str(tmp_path / "models"),
-                  reports_dir=str(tmp_path / "reports"), separate_baseline=True)
-    run_train(cfg, "single")
-    assert (tmp_path / "models" / "baseline.model").exists()
-    assert (tmp_path / "reports" / "loss_baseline.csv").exists()
-
-    cfg = replace(cfg, separate_baseline=False, n_epochs=1)
-    assert run_train(cfg, "single") == [tmp_path / "models" / "single.model"]
-    assert not (tmp_path / "models" / "baseline.model").exists()
-    assert not (tmp_path / "reports" / "loss_baseline.csv").exists()
+def test_both_single_policies_read_single_model_past_a_leftover_baseline(mini_system, tmp_path):
+    models_dir = tmp_path / "models"
+    shutil.copytree(mini_system.models_dir, models_dir)
+    # A same-shape model under the name an older separate baseline used.
+    shutil.copy(next(models_dir.glob("expert_*.model")), models_dir / "baseline.model")
+    cfg = replace(mini_system, models_dir=str(models_dir))
+    single = load_model(models_dir / "single.model")
+    models = load_policy_models(cfg, ["single-conv", "single-mc"])
     mag = np.random.default_rng(12).uniform(0.0, 1.0, size=(5, FrameConfig().n_bins))
-    est, _ = load_policy_models(cfg, ["single-conv"]).enhance("single-conv", mag)
+    np.testing.assert_array_equal(models.enhance("single-conv", mag)[0], forward(single, mag)[0])
     np.testing.assert_array_equal(
-        est, forward(load_model(tmp_path / "models" / "single.model"), mag)[0])
+        models.enhance("single-mc", mag)[0],
+        mcdrop.mc_spectral_stats(single, mag, mcdrop.mc_for_model(single, models.mc)).means)
+
+
+def test_six_policy_evaluate_loads_the_single_model_once(mini_system, tmp_path, monkeypatch):
+    loaded = []
+    original = neural.load_model
+
+    def counted(path, *args, **kwargs):
+        loaded.append(Path(path).name)
+        return original(path, *args, **kwargs)
+
+    for module in (pipeline, selection):
+        monkeypatch.setattr(module, "load_model", counted)
+    run_evaluate(replace(mini_system, reports_dir=str(tmp_path)))
+    assert loaded.count("single.model") == 1
+    assert loaded.count("classifier.model") == 1
 
 
 def test_enhance_every_policy_keeps_the_frame_geometry(mini_system, tmp_path):

@@ -50,7 +50,7 @@ def make_bank(rng, n_models=3, in_dim=9, keep_prob=0.7, with_classifier=True):
 def test_route_frames_classifier_argmax():
     policy = SelectionPolicy(kind=PolicyKind.CLASSIFIER_MC)
     post = np.array([[0.1, 0.7, 0.2], [0.5, 0.3, 0.2]])
-    chosen, var_route = route_frames(policy, None, post, 2)
+    chosen, var_route = route_frames(policy, None, post)
     np.testing.assert_array_equal(chosen, [1, 0])
     assert not var_route.any()
 
@@ -58,7 +58,7 @@ def test_route_frames_classifier_argmax():
 def test_route_frames_var_argmin_with_tie_to_lowest_index():
     policy = SelectionPolicy(kind=PolicyKind.VAR_MC)
     traces = np.array([[3.0, 1.0], [1.0, 1.0], [2.0, 5.0]])  # [models, frames]
-    chosen, var_route = route_frames(policy, traces, None, 2)
+    chosen, var_route = route_frames(policy, traces, None)
     np.testing.assert_array_equal(chosen, [1, 0])  # tie on frame 1 -> model 0
     assert var_route.all()
 
@@ -68,7 +68,7 @@ def test_route_frames_mu_threshold_is_strict():
     # min traces per frame: 0.10, 0.16, 0.20
     traces = np.array([[0.10, 0.16, 0.20], [0.50, 0.60, 0.70]])
     policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=0.16)
-    chosen, var_route = route_frames(policy, traces, post, 3)
+    chosen, var_route = route_frames(policy, traces, post)
     # 0.10 <= mu and 0.16 == mu go to the classifier; 0.20 > mu routes on variance
     np.testing.assert_array_equal(var_route, [False, False, True])
     np.testing.assert_array_equal(chosen, [1, 1, 0])
@@ -79,7 +79,7 @@ def test_route_frames_mixed_threshold_example():
     traces = np.array([[0.10], [0.20]])
     post = np.array([[0.9, 0.1]])
     policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=0.16)
-    chosen, var_route = route_frames(policy, traces, post, 1)
+    chosen, var_route = route_frames(policy, traces, post)
     assert not var_route[0]
     assert chosen[0] == 0
 
@@ -89,16 +89,16 @@ def test_route_frames_mu_limits():
     traces = rng.uniform(0.05, 2.0, size=(4, 30))
     post = rng.dirichlet(np.ones(4), size=30)
     zero = SelectionPolicy(kind=PolicyKind.MU_MC, mu=0.0)
-    chosen0, route0 = route_frames(zero, traces, post, 30)
+    chosen0, route0 = route_frames(zero, traces, post)
     var = SelectionPolicy(kind=PolicyKind.VAR_MC)
-    chosen_v, _ = route_frames(var, traces, post, 30)
+    chosen_v, _ = route_frames(var, traces, post)
     np.testing.assert_array_equal(chosen0, chosen_v)
     assert route0.all()
 
     huge = SelectionPolicy(kind=PolicyKind.MU_MC, mu=1e9)
-    chosen9, route9 = route_frames(huge, traces, post, 30)
+    chosen9, route9 = route_frames(huge, traces, post)
     cls = SelectionPolicy(kind=PolicyKind.CLASSIFIER_MC)
-    chosen_c, _ = route_frames(cls, traces, post, 30)
+    chosen_c, _ = route_frames(cls, traces, post)
     np.testing.assert_array_equal(chosen9, chosen_c)
     assert not route9.any()
 
@@ -110,7 +110,7 @@ def test_route_frames_monotone_in_mu():
     n_var_prev = 51
     for mu in (0.0, 0.1, 0.3, 0.7, 2.0):
         policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=mu)
-        _, var_route = route_frames(policy, traces, post, 50)
+        _, var_route = route_frames(policy, traces, post)
         assert var_route.sum() <= n_var_prev
         n_var_prev = var_route.sum()
 
@@ -120,8 +120,8 @@ def test_route_frames_scale_invariant_argmin():
     traces = rng.uniform(0.1, 1.0, size=(3, 20))
     post = rng.dirichlet(np.ones(3), size=20)
     policy = SelectionPolicy(kind=PolicyKind.VAR_MC)
-    a, _ = route_frames(policy, traces, post, 20)
-    b, _ = route_frames(policy, 7.5 * traces, post, 20)
+    a, _ = route_frames(policy, traces, post)
+    b, _ = route_frames(policy, 7.5 * traces, post)
     np.testing.assert_array_equal(a, b)
 
 
