@@ -14,6 +14,7 @@ from .dsp import (
     FrameConfig,
     Signal,
     mix_at_snr,
+    publish,
     read_wav,
     stft,
     write_wav,
@@ -358,10 +359,8 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(manifest_to_dict(manifest), indent=2) + "\n")
-    tmp.replace(path)
+    with publish(path, "w") as fh:
+        fh.write(json.dumps(manifest_to_dict(manifest), indent=2) + "\n")
 
 
 def validate_manifest(manifest: DatasetManifest) -> None:
@@ -487,16 +486,13 @@ def write_cache(path, noisy_mag: np.ndarray, clean_mag: np.ndarray) -> None:
     then the noisy block and the clean block as float32 row-major."""
     if noisy_mag.shape != clean_mag.shape or noisy_mag.ndim != 2:
         raise InvalidParams(f"cache blocks {noisy_mag.shape} vs {clean_mag.shape}")
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     header = np.array([noisy_mag.shape[0], noisy_mag.shape[1]], dtype="<u4")
-    with open(tmp, "wb") as fh:
+    with publish(path) as fh:
         fh.write(CACHE_MAGIC)
         fh.write(np.uint32(CACHE_VERSION).tobytes())
         fh.write(header.tobytes())
         fh.write(noisy_mag.astype("<f4").tobytes())
         fh.write(clean_mag.astype("<f4").tobytes())
-    tmp.replace(path)
 
 
 def read_cache(path) -> tuple[np.ndarray, np.ndarray]:
@@ -553,8 +549,8 @@ def build_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
         edir = out_dir / e.split / entry_id(e)
         edir.mkdir(parents=True, exist_ok=True)
-        _write_wav_atomic(edir / "clean.wav", clean_out)
-        _write_wav_atomic(edir / "noisy.wav", noisy_out)
+        write_wav(edir / "clean.wav", clean_out)
+        write_wav(edir / "noisy.wav", noisy_out)
 
         # Frames come from the re-read quantized files so training sees
         # exactly what is on disk.
@@ -566,12 +562,6 @@ def build_dataset(manifest: DatasetManifest, out_dir) -> Path:
 
     save_manifest(manifest, out_dir / "manifest.json")
     return out_dir
-
-
-def _write_wav_atomic(path: Path, signal: Signal) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    write_wav(tmp, signal)
-    tmp.replace(path)
 
 
 def open_dataset(dataset_dir) -> DatasetManifest:

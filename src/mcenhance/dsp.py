@@ -1,9 +1,11 @@
-"""Framing, STFT/inverse STFT, SNR-exact mixing, and 16-bit WAV I/O."""
+"""Framing, STFT/inverse STFT, SNR-exact mixing, 16-bit WAV I/O, and file publishing."""
 
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -56,10 +58,6 @@ class Signal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
 
 @dataclass
 class SpectralFrames:
@@ -67,11 +65,6 @@ class SpectralFrames:
 
     magnitude: np.ndarray  # [n_frames, n_bins], >= 0
     phase: np.ndarray      # [n_frames, n_bins], radians
-    config: FrameConfig = field(default_factory=FrameConfig)
-
-    @property
-    def n_frames(self) -> int:
-        return self.magnitude.shape[0]
 
 
 def hamming_window(length: int) -> np.ndarray:
@@ -103,7 +96,7 @@ def stft(signal: Signal, cfg: FrameConfig) -> SpectralFrames:
     """Hamming-windowed short-time Fourier transform, first n_bins points."""
     frames = frame_signal(signal, cfg)
     spec = np.fft.rfft(frames * hamming_window(cfg.frame_len_samples), n=cfg.fft_size, axis=1)
-    return SpectralFrames(magnitude=np.abs(spec), phase=np.angle(spec), config=cfg)
+    return SpectralFrames(magnitude=np.abs(spec), phase=np.angle(spec))
 
 
 def istft_overlap_add(magnitude: np.ndarray, phase: np.ndarray, cfg: FrameConfig) -> Signal:
@@ -173,6 +166,23 @@ def mix_at_snr(
     return Signal(c + scale * n, clean.sample_rate_hz), scale
 
 
+@contextmanager
+def publish(path, mode: str = "wb", newline: str | None = None):
+    """Write a file through a sibling `<name>.tmp` that is moved onto path
+    when the block ends, so a reader never sees a partial file and an
+    interrupted write leaves any earlier file whole. If the block raises,
+    the .tmp is deleted. Yields the .tmp opened with mode and newline."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        with open(tmp, mode, newline=newline) as fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def read_wav(path) -> Signal:
     """Read a 16 kHz 16-bit PCM mono WAV into [-1, 1] samples."""
     try:
@@ -199,7 +209,7 @@ def write_wav(path, signal: Signal) -> None:
     if signal.sample_rate_hz != 16000:
         raise UnsupportedFormat(f"expected 16000 Hz signal, got {signal.sample_rate_hz}")
     pcm = np.clip(np.round(signal.samples * PCM_SCALE), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    with publish(path) as fh, wave.open(fh, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(16000)

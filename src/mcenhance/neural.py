@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .dsp import publish
 from .errors import (
     CacheMismatch,
     CorruptFile,
@@ -476,7 +476,7 @@ def train_classifier(
     mag_frames: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
-    n_classes: int | None = None,
+    n_classes: int,
     noise_label: str = "",
 ) -> tuple[MlpModel, list]:
     """Fit a softmax noise classifier on labeled magnitude frames with the
@@ -487,8 +487,6 @@ def train_classifier(
         raise EmptyDataset("no training frames")
     if mag_frames.ndim != 2 or labels.shape != (mag_frames.shape[0],):
         raise DimensionMismatch(f"{mag_frames.shape} vs labels {labels.shape}")
-    if n_classes is None:
-        n_classes = int(labels.max()) + 1
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
     return _fit(
@@ -501,8 +499,7 @@ def train_classifier(
 
 def save_model(model: MlpModel, path) -> None:
     """Write magic, version, JSON header, then float64 parameters (W then b
-    per layer, little-endian). The file is written to a sibling .tmp and
-    moved into place, so an interrupted save leaves any earlier file whole."""
+    per layer, little-endian), published through dsp.publish."""
     header = {
         "layer_dims": list(model.layer_dims),
         "hidden_activation": "relu",
@@ -515,9 +512,7 @@ def save_model(model: MlpModel, path) -> None:
         "input_norm": "zscore" if model.input_mean is not None else "none",
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with publish(path) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(np.uint32(MODEL_VERSION).tobytes())
         fh.write(np.uint32(len(blob)).tobytes())
@@ -528,7 +523,6 @@ def save_model(model: MlpModel, path) -> None:
         if model.input_mean is not None:
             fh.write(model.input_mean.astype("<f8").tobytes())
             fh.write(model.input_std.astype("<f8").tobytes())
-    tmp.replace(path)
 
 
 def load_model(path) -> MlpModel:
@@ -554,15 +548,24 @@ def load_model(path) -> MlpModel:
         output_activation = header["output_activation"]
         if output_activation not in ("relu", "softmax"):
             raise ValueError(f"output_activation {output_activation!r}")
-        keep_prob = float(header["keep_prob"])
+        keep_prob = header["keep_prob"]
+        weight_decay = header.get("weight_decay", 0.0)
+        for key, value in (("keep_prob", keep_prob), ("weight_decay", weight_decay)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{key} {value!r}")
+        keep_prob, weight_decay = float(keep_prob), float(weight_decay)
         if not 0.0 < keep_prob <= 1.0:
             raise ValueError(f"keep_prob {keep_prob}")
-        weight_decay = float(header.get("weight_decay", 0.0))
         if not 0.0 <= weight_decay < np.inf:
             raise ValueError(f"weight_decay {weight_decay}")
-        n_train_frames = int(header.get("n_train_frames", 0))
-        seed = int(header.get("seed", 0))
-        noise_label = str(header.get("noise_label", ""))
+        n_train_frames = header.get("n_train_frames", 0)
+        seed = header.get("seed", 0)
+        for key, value in (("n_train_frames", n_train_frames), ("seed", seed)):
+            if not (is_int(value) and value >= 0):
+                raise ValueError(f"{key} {value!r}")
+        noise_label = header.get("noise_label", "")
+        if not isinstance(noise_label, str):
+            raise TypeError(f"noise_label {noise_label!r}")
         norm = header.get("input_norm", "none")
         if norm not in ("none", "zscore"):
             raise ValueError(f"input_norm {norm!r}")

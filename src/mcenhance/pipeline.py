@@ -24,7 +24,7 @@ from .corpus import (
     load_manifest,
     open_dataset,
 )
-from .dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_wav
+from .dsp import FrameConfig, Signal, istft_overlap_add, publish, read_wav, stft, write_wav
 from .errors import EmptyDataset, InvalidConfig, MissingModels
 from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from .metrics import sse, ssnr, threshold_sweep, variance_error_correlation
@@ -45,9 +45,9 @@ from .selection import (
     SelectionPolicy,
     decisions_to_csv,
     load_bank,
-    save_bank,
     select_frames,
     validate_bank,
+    write_bank_manifest,
 )
 
 POLICY_NAMES = ("single-conv", "single-mc", "class-conv", "class-mc",
@@ -205,14 +205,12 @@ def _train_cfg(cfg: ExperimentConfig, seed: int) -> TrainConfig:
 def _write_rows(path, header, rows, comment: str = "") -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with publish(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    tmp.replace(path)
 
 
 def _fmt(x: float) -> str:
@@ -251,7 +249,7 @@ def _concat_frames(corpus_dir, entries) -> tuple[np.ndarray, np.ndarray]:
 
 def run_train(cfg: ExperimentConfig, scope: str) -> list:
     """Train one scope; returns the written model paths. Every scope but
-    single then rewrites the bank, once every expert file exists."""
+    single then writes bank.json, once every expert file exists."""
     if scope not in ("single", "per-noise", "classifier", "all"):
         raise InvalidConfig(f"unknown train scope {scope!r}")
     manifest = open_dataset(cfg.corpus_dir)
@@ -277,31 +275,34 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
             noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_SINGLE)),
             noise_label="all"))
 
-    if scope in ("per-noise", "all"):
+    experts = scope in ("per-noise", "all")
+    classify = scope in ("classifier", "all")
+    if experts or classify:
+        # One read of each label's entries feeds its expert and the
+        # classifier's block for that label.
+        noisy_blocks, label_blocks = [], []
         for j, label in enumerate(labels):
             noisy, clean = _concat_frames(cfg.corpus_dir,
                                           entries_for(manifest, "train", noise=label))
-            save(f"expert_{label}", train_regressor(
-                noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_EXPERT, j)),
-                noise_label=label))
+            if experts:
+                save(f"expert_{label}", train_regressor(
+                    noisy, clean, _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_EXPERT, j)),
+                    noise_label=label))
+            if classify:
+                noisy_blocks.append(noisy)
+                label_blocks.append(np.full(noisy.shape[0], j, dtype=np.int64))
+        if classify:
+            save("classifier", train_classifier(
+                np.concatenate(noisy_blocks), np.concatenate(label_blocks),
+                _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_CLASSIFIER)),
+                n_classes=len(labels), noise_label="classifier"))
 
-    if scope in ("classifier", "all"):
-        noisy_blocks, label_blocks = [], []
-        for j, label in enumerate(labels):
-            noisy, _ = _concat_frames(cfg.corpus_dir,
-                                      entries_for(manifest, "train", noise=label))
-            noisy_blocks.append(noisy)
-            label_blocks.append(np.full(noisy.shape[0], j, dtype=np.int64))
-        save("classifier", train_classifier(
-            np.concatenate(noisy_blocks), np.concatenate(label_blocks),
-            _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_CLASSIFIER)),
-            n_classes=len(labels), noise_label="classifier"))
-
-    # Models trained here are reused, not reloaded: reloading only churns the heap.
+    # Every model file is on disk by now, so only bank.json is written. Models
+    # trained here are reused, not reloaded: reloading only churns the heap.
     expert_files = [models_dir / f"expert_{label}.model" for label in labels]
     classifier = models_dir / "classifier.model"
     if scope != "single" and all(p.exists() for p in expert_files):
-        save_bank(ModelBank(
+        write_bank_manifest(ModelBank(
             models=[trained.get(p.stem) or load_model(p) for p in expert_files], labels=labels,
             classifier=trained.get("classifier") or (
                 load_model(classifier) if classifier.exists() else None)), models_dir)
@@ -391,10 +392,7 @@ def run_enhance(
     if decisions is not None:
         decisions_to_csv(decisions, models.bank.labels,
                          decisions_path or out_path.with_suffix(".decisions.csv"))
-
-    tmp = out_path.with_suffix(out_path.suffix + ".tmp")
-    write_wav(tmp, istft_overlap_add(est, frames.phase, frame))
-    tmp.replace(out_path)
+    write_wav(out_path, istft_overlap_add(est, frames.phase, frame))
     return out_path
 
 
@@ -530,11 +528,8 @@ def run_sweep(cfg: ExperimentConfig, split: str = "test") -> tuple[list, float |
     mu_star = None
     if split == "val":
         mu_star = _select_mu_star(rows, grid, bank.labels)
-        out = Path(cfg.reports_dir) / "mu_star.json"
-        tmp = out.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({"mu_star": mu_star, "grid": grid.tolist()},
-                                  indent=2) + "\n")
-        tmp.replace(out)
+        with publish(Path(cfg.reports_dir) / "mu_star.json", "w") as fh:
+            fh.write(json.dumps({"mu_star": mu_star, "grid": grid.tolist()}, indent=2) + "\n")
     return rows, mu_star
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dsp import publish
 from .errors import (
     DimensionMismatch,
     EmptyBank,
@@ -72,26 +73,29 @@ def validate_bank(bank: ModelBank, need_classifier: bool = False) -> None:
 
 
 def save_bank(bank: ModelBank, dir_path) -> None:
+    """Write every model file of the bank, then its manifest."""
     validate_bank(bank, need_classifier=bank.classifier is not None)
     dir_path = Path(dir_path)
     dir_path.mkdir(parents=True, exist_ok=True)
-    model_files = []
     for label, model in zip(bank.labels, bank.models):
-        name = f"expert_{label}.model"
-        save_model(model, dir_path / name)
-        model_files.append(name)
+        save_model(model, dir_path / f"expert_{label}.model")
+    if bank.classifier is not None:
+        save_model(bank.classifier, dir_path / "classifier.model")
+    write_bank_manifest(bank, dir_path)
+
+
+def write_bank_manifest(bank: ModelBank, dir_path) -> None:
+    """Publish bank.json for a bank whose model files are already in
+    dir_path: expert_<label>.model per label, and classifier.model."""
+    validate_bank(bank, need_classifier=bank.classifier is not None)
     manifest = {
         "labels": list(bank.labels),
-        "model_files": model_files,
+        "model_files": [f"expert_{label}.model" for label in bank.labels],
         "keep_probs": [m.keep_prob for m in bank.models],
-        "classifier_file": None,
+        "classifier_file": None if bank.classifier is None else "classifier.model",
     }
-    if bank.classifier is not None:
-        manifest["classifier_file"] = "classifier.model"
-        save_model(bank.classifier, dir_path / "classifier.model")
-    tmp = dir_path / (BANK_MANIFEST + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-    tmp.replace(dir_path / BANK_MANIFEST)
+    with publish(Path(dir_path) / BANK_MANIFEST, "w") as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_bank(dir_path) -> ModelBank:
@@ -258,9 +262,7 @@ def decisions_to_csv(decisions: Decisions, labels: list, path) -> None:
     """frame_index, route, chosen_label, then per-model trace variances
     and posteriors (blank when the policy never computed them)."""
     m_count = len(labels)
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="") as fh:
+    with publish(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["frame_index", "route", "chosen_label"]
@@ -273,4 +275,3 @@ def decisions_to_csv(decisions: Decisions, labels: list, path) -> None:
                      if decisions.posteriors is not None else [""] * m_count)
             route = "variance" if decisions.var_route[i] else "classifier"
             writer.writerow([i, route, labels[j]] + traces + posts)
-    tmp.replace(path)

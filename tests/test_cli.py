@@ -337,6 +337,21 @@ def test_enhance_with_wrong_bin_count_exits_3(mini_cli, capsys):
         assert "64" in err
 
 
+def test_corrupt_model_header_exits_4(mini_cli, capsys):
+    """A negative frame count would otherwise surface as a bad tau_inv
+    (exit 2) that does not name the file."""
+    cfg, flags, tmp = mini_cli
+    models = tmp / "models_bad"
+    models.mkdir()
+    save_model(random_model(np.random.default_rng(12), (257, 16, 257), weight_decay=1e-4,
+                            n_train_frames=-5), models / "single.model")
+    rc, err = _exit_code_and_err(capsys, [
+        "enhance", *flags, "--models-dir", str(models), "single-mc",
+        _noisy_wav(cfg), str(tmp / "out.wav")])
+    assert rc == 4  # CorruptFile
+    assert "single.model" in err and "n_train_frames" in err
+
+
 @pytest.mark.parametrize("content", [
     b"{", b"{}", b'{"mu_star": "x"}', b'{"mu_star": null}', b'{"mu_star": -1}',
     b'{"mu_star": true}', b"[0.5]", b"\xff\xfe{}",

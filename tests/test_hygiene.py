@@ -59,3 +59,11 @@ def test_enhance_policy_choices_are_the_policy_names():
                  if isinstance(a, argparse._SubParsersAction))
     policy = next(a for a in verbs.choices["enhance"]._actions if a.dest == "policy")
     assert tuple(policy.choices) == pipeline.POLICY_NAMES
+
+
+def test_one_module_writes_through_a_tmp_file():
+    """Every artifact is published by dsp.publish; a second module naming
+    the .tmp suffix is a second copy of the write-then-rename step."""
+    modules = [path.name for path in sorted((ROOT / "src" / "mcenhance").glob("*.py"))
+               if ".tmp" in path.read_text()]
+    assert modules == ["dsp.py"]

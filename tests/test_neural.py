@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from mcenhance import neural
+from mcenhance import dsp, neural
+from mcenhance.corpus import write_cache
+from mcenhance.dsp import Signal, write_wav
 from mcenhance.errors import (
     CacheMismatch,
     CorruptFile,
@@ -41,6 +43,7 @@ from mcenhance.neural import (
     train_classifier,
     train_regressor,
 )
+from mcenhance.pipeline import _write_rows
 
 
 def tiny_fixed_model():
@@ -366,8 +369,9 @@ def test_train_regressor_converges_and_logs_losses():
     assert model.layer_dims == [12, 32, 32, 12]
 
 
-@pytest.mark.parametrize("trainer", [train_regressor, train_classifier],
-                         ids=["regressor", "classifier"])
+@pytest.mark.parametrize("trainer", [
+    train_regressor, lambda x, y, cfg: train_classifier(x, y, cfg, n_classes=3),
+], ids=["regressor", "classifier"])
 def test_training_is_deterministic(tmp_path, trainer):
     rng = np.random.default_rng(50)
     clean = rng.uniform(0.0, 1.0, size=(80, 6))
@@ -449,10 +453,25 @@ def test_model_save_load_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_interrupted_save_keeps_the_earlier_model_file(tmp_path, monkeypatch):
+# Each writer takes (path, rng) and writes well over 100 bytes.
+_WRITERS = {
+    "model": ("m.model", lambda path, rng: save_model(random_model(rng, (3, 5, 2)), path)),
+    "csv-rows": ("rows.csv", lambda path, rng: _write_rows(
+        path, ["a", "b"], rng.uniform(size=(20, 2)).tolist(), comment="c")),
+    "wav": ("x.wav", lambda path, rng: write_wav(path, Signal(rng.uniform(-0.5, 0.5, 400)))),
+    "frame-cache": ("frames.mcfr", lambda path, rng: write_cache(
+        path, rng.uniform(size=(4, 6)), rng.uniform(size=(4, 6)))),
+}
+
+
+@pytest.mark.parametrize("writer", list(_WRITERS))
+def test_interrupted_save_keeps_the_earlier_model_file(tmp_path, monkeypatch, writer):
+    """Every artifact goes through dsp.publish, so a write that fails
+    midway leaves the earlier file whole and no .tmp behind."""
+    name, write = _WRITERS[writer]
     rng = np.random.default_rng(56)
-    path = tmp_path / "m.model"
-    save_model(random_model(rng, (3, 5, 2)), path)
+    path = tmp_path / name
+    write(path, rng)
     before = path.read_bytes()
 
     class DiskFull:
@@ -467,17 +486,21 @@ def test_interrupted_save_keeps_the_earlier_model_file(tmp_path, monkeypatch):
             self.room -= len(data)
             return self.fh.write(data)
 
+        def __getattr__(self, attr):  # tell, seek and flush, which wave calls
+            return getattr(self.fh, attr)
+
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
             self.fh.close()
 
-    monkeypatch.setattr(neural, "open", lambda *a, **k: DiskFull(builtins.open(*a, **k)),
+    monkeypatch.setattr(dsp, "open", lambda *a, **k: DiskFull(builtins.open(*a, **k)),
                         raising=False)
     with pytest.raises(OSError):
-        save_model(random_model(rng, (3, 5, 2)), path)
+        write(path, rng)
     assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
 
 
 def test_model_file_corruption_detected(tmp_path):
@@ -522,8 +545,14 @@ def _with_header(raw, edit):
     lambda h: {**h, "input_norm": ["zscore"]},
     lambda h: list(h),
     lambda h: "model",
+    lambda h: {**h, "n_train_frames": -5},
+    lambda h: {**h, "n_train_frames": True},
+    lambda h: {**h, "seed": 2.7},
+    lambda h: {**h, "noise_label": 5},
+    lambda h: {**h, "keep_prob": "0.8"},
 ], ids=["dims-int", "dims-str", "keep-null", "keep-range", "activation",
-        "decay-str", "seed-inf", "norm-list", "header-list", "header-str"])
+        "decay-str", "seed-inf", "norm-list", "header-list", "header-str",
+        "frames-negative", "frames-bool", "seed-float", "label-int", "keep-str"])
 def test_model_header_wrong_types_are_corrupt(tmp_path, edit):
     rng = np.random.default_rng(55)
     path = tmp_path / "m.model"

@@ -5,6 +5,7 @@ policies read, and enhance's output geometry."""
 import hashlib
 import json
 import shutil
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 
 import mcenhance
 from conftest import MINI, random_model
-from mcenhance import mcdrop, metrics, neural, pipeline, selection
+from mcenhance import corpus, mcdrop, metrics, neural, pipeline, selection
 from mcenhance.corpus import (
     NOISE_PRESETS,
     SEEN_NOISES,
@@ -365,6 +366,34 @@ def test_six_policy_evaluate_loads_the_single_model_once(mini_system, tmp_path, 
     run_evaluate(replace(mini_system, reports_dir=str(tmp_path)))
     assert loaded.count("single.model") == 1
     assert loaded.count("classifier.model") == 1
+
+
+def test_train_all_writes_each_model_once_and_reads_each_train_cache_at_most_twice(
+        mini_system, tmp_path, monkeypatch):
+    saved, read = [], []
+
+    def counted(log, original):
+        def wrapper(*args):
+            log.append(Path(args[-1]))
+            return original(*args)
+        return wrapper
+
+    for module in (pipeline, selection):
+        monkeypatch.setattr(module, "save_model", counted(saved, neural.save_model))
+    monkeypatch.setattr(corpus, "read_cache", counted(read, corpus.read_cache))
+    cfg = replace(mini_system, models_dir=str(tmp_path / "models"),
+                  reports_dir=str(tmp_path / "reports"))
+    pipeline.run_train(cfg, "all")
+
+    model_files = sorted((tmp_path / "models").glob("*.model"))
+    assert len(model_files) == len(bank_labels(open_dataset(cfg.corpus_dir))) + 2
+    assert sorted(saved) == model_files
+    train_caches = sorted(Path(cfg.corpus_dir).glob("train/*/frames.mcfr"))
+    counts = Counter(read)
+    assert sorted(counts) == train_caches and max(counts.values()) <= 2
+    # The same bytes as the shared mini system, trained by the same config.
+    for path in [*model_files, tmp_path / "models" / "bank.json"]:
+        assert path.read_bytes() == (Path(mini_system.models_dir) / path.name).read_bytes()
 
 
 def test_enhance_every_policy_keeps_the_frame_geometry(mini_system, tmp_path):
