@@ -1,7 +1,9 @@
 """Monte Carlo dropout inference: stochastic forward passes over an
 utterance, reduced to the predictive mean and the diagonal predictive
-variance per frame. Sweeps over one utterance can share one MaskMemo, so
-each dropout mask is drawn once however many models read it."""
+variance per frame. The sweep runs its own pass loop over buffers
+allocated once per sweep. Sweeps over one utterance can share one
+MaskMemo, so each dropout mask is drawn once however many models read
+it."""
 
 from __future__ import annotations
 
@@ -11,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .neural import DropoutStream, MaskMemo, MlpModel, forward, input_layer, is_int
+from .neural import (
+    DropoutStream, MaskMemo, MlpModel, dropout_mask, forward, input_layer, is_int, softmax,
+)
 
 
 @dataclass
@@ -87,24 +91,33 @@ def _check_tau(model: MlpModel, cfg: McConfig) -> None:
                 f"tau_inv must be {expected}, got {cfg.tau_inv}")
 
 
+def _drawn_kept_bits(stream, layer_index, n_rows, width, keep_prob) -> np.ndarray:
+    """A fresh mask's kept units, as MaskMemo serves them."""
+    return dropout_mask(stream, layer_index, n_rows, width, keep_prob) != 0
+
+
 def mc_spectral_stats(
     model: MlpModel, mag_frames: np.ndarray, cfg: McConfig, *,
     mask_memo: MaskMemo | None = None,
 ) -> McSweep:
     """MC sweep over all frames of an utterance at once.
 
-    Bit-identical to stacking all passes and reducing them, and equal to
-    rounding to the per-frame reference (one frame at a time, masks
-    pinned by its row); both oracles live in tests/test_mcdrop.py. The
-    input checks, the z-score and layer 0's affine map and ReLU come
-    before any dropout, so they run once per sweep; each pass draws its
-    masks and runs the remaining layers as one batched forward. The
-    moments accumulate as passes arrive, so memory is O(frames x bins)
+    Bit-identical to stacking all passes of forward and reducing them,
+    and equal to rounding to the per-frame reference (one frame at a
+    time, masks pinned by its row); both oracles live in
+    tests/test_mcdrop.py. The input checks, the z-score and layer 0's
+    affine map and ReLU come before any dropout, so they run once per
+    sweep. Each pass then runs the remaining layers over one activation
+    buffer per hidden layer and one output buffer, all allocated once
+    per sweep: GEMM into the buffer, add the bias, ReLU, and mask in
+    place as (h * kept) * (1 / keep_prob), which has the bits of h times
+    forward's float mask for every h, inf and NaN included. The moments
+    accumulate in place as passes arrive, so memory is O(frames x bins)
     whatever the pass count.
 
     mask_memo, shared by the sweeps over one utterance, draws each
-    (pass, layer) mask once and serves it packed to every later sweep
-    with the same seed, width and keep probability; the result is
+    (pass, layer) mask once and serves its kept bits to every later
+    sweep with the same seed, width and keep probability; the result is
     byte-identical to a sweep without it.
     """
     _check_tau(model, cfg)
@@ -119,28 +132,51 @@ def mc_spectral_stats(
         variances = np.full_like(y, cfg.tau_inv)
         return McSweep(means=y, variances=variances, traces=variances.sum(axis=1))
 
-    X, h0 = input_layer(model, mag_frames)
+    h0 = input_layer(model, mag_frames)
+    draw = _drawn_kept_bits if mask_memo is None else mask_memo
+    n, p = len(h0), model.keep_prob
+    scale = 1.0 / p
+    hidden = [np.empty((n, w)) for w in model.layer_dims[1:-1]]
+    out = np.empty((n, model.out_dim))
+    relu_out = model.output_activation == "relu"
     for t in range(cfg.n_passes):
         stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=0)
-        y, _ = forward(model, X, stream=stream, first_hidden=h0, mask_memo=mask_memo)
+        h = h0
+        for l, m in enumerate(hidden):
+            if l:
+                np.matmul(h, model.weights[l].T, out=m)
+                m += model.biases[l]
+                h = np.maximum(m, 0.0, out=m)
+            np.multiply(h, draw(stream, l, n, m.shape[1], p), out=m)
+            m *= scale
+            h = m
+        np.matmul(h, model.weights[-1].T, out=out)
+        out += model.biases[-1]
+        y = np.maximum(out, 0.0, out=out) if relu_out else softmax(out)
         if t == 0:
-            first, total, total_sq = y, y.copy(), y * y
-            same = np.ones(len(y), dtype=bool)
-        else:
-            total += y
-            total_sq += y * y
-            same &= np.all(y == first, axis=1)
+            total, total_sq = y.copy(), y * y
+            agree, first = np.arange(n), y.copy()
+            continue
+        if agree.size:
+            # Only frames whose passes all agreed so far can still agree.
+            still = np.all(y[agree] == first, axis=1)
+            agree, first = agree[still], first[still]
+        total += y
+        y *= y
+        total_sq += y
 
     # mean(axis=0) over stacked passes adds the slices in pass order and
     # divides by T, so these running sums give the same bits.
-    means = total / cfg.n_passes
-    raw = total_sq / cfg.n_passes - means * means
-    variances = cfg.tau_inv + np.maximum(raw, 0.0)
+    means = total
+    means /= cfg.n_passes
+    variances = total_sq
+    variances /= cfg.n_passes
+    variances -= np.multiply(means, means, out=out)
+    np.maximum(variances, 0.0, out=variances)
+    variances += cfg.tau_inv
 
     # Frames whose passes all agree get the exact short-circuit values.
-    if same.any():
-        means[same] = first[same]
-        variances[same] = cfg.tau_inv
+    means[agree] = first
+    variances[agree] = cfg.tau_inv
 
     return McSweep(means=means, variances=variances, traces=variances.sum(axis=1))
-

@@ -205,13 +205,15 @@ def dropout_mask(
 
 
 class MaskMemo:
-    """Dropout masks drawn once and kept packed, one bit per unit.
+    """Kept-unit bits of dropout masks, drawn once and kept packed, one
+    bit per unit.
 
     A mask depends only on its dropout_mask arguments, never on the
     weights, so models that share a seed, a frame count, a width and a
     keep probability can share their masks. A miss draws through
-    dropout_mask; a hit rebuilds bits / keep_prob, the formula a fresh draw
-    uses, so the masks are bit-identical either way.
+    dropout_mask; every call returns the bool array mask != 0, a hit
+    unpacked from the kept bits. Scaling the survivors by 1/keep_prob is
+    left to the caller (mc_spectral_stats).
     """
 
     def __init__(self):
@@ -222,11 +224,10 @@ class MaskMemo:
         key = (stream, layer_index, n_rows, width, keep_prob)
         bits = self._bits.get(key)
         if bits is None:
-            mask = dropout_mask(stream, layer_index, n_rows, width, keep_prob)
-            self._bits[key] = np.packbits(mask != 0)
-            return mask
-        kept = np.unpackbits(bits, count=n_rows * width).reshape(n_rows, width)
-        return kept.astype(np.float64) / keep_prob
+            kept = dropout_mask(stream, layer_index, n_rows, width, keep_prob) != 0
+            self._bits[key] = np.packbits(kept)
+            return kept
+        return np.unpackbits(bits, count=n_rows * width).reshape(n_rows, width).view(bool)
 
 
 def _input_rows(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -243,59 +244,39 @@ def _input_rows(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def input_layer(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked, normalised input rows X and h0 = relu(X W0^T + b0).
+def input_layer(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """h0 = relu(X W0^T + b0) of the checked, normalised input rows X.
 
     Dropout acts only after hidden ReLUs, so this part of a pass is the
-    same in every stochastic pass; forward(model, X, stream,
-    first_hidden=h0) finishes one pass from it.
+    same in every stochastic pass; mc_spectral_stats runs it once per
+    sweep and finishes each pass from h0.
     """
     if len(model.weights) < 2:
         raise DimensionMismatch("model has no hidden layer")
     X, _ = _input_rows(model, x)
-    return X, relu(X @ model.weights[0].T + model.biases[0])
+    return relu(X @ model.weights[0].T + model.biases[0])
 
 
 def forward(
-    model: MlpModel,
-    x: np.ndarray,
-    stream: DropoutStream | None = None,
-    *,
-    first_hidden: np.ndarray | None = None,
-    mask_memo: MaskMemo | None = None,
+    model: MlpModel, x: np.ndarray, stream: DropoutStream | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a vector or a batch of row vectors.
+    """Run the network on a vector or a batch of row vectors, keeping
+    what backward reads; the training pass and the dropout-off pass.
 
     stream=None is the deterministic mode (no masks, no rescaling);
     passing a DropoutStream zeroes each hidden unit with probability
-    1 - keep_prob and scales survivors by 1/keep_prob.
-
-    first_hidden takes X and h0 from input_layer: the input checks, the
-    z-score and layer 0's affine map and ReLU are skipped, and the pass
-    starts at layer 0's dropout.
-
-    mask_memo serves each mask that an earlier forward with the same
-    memo drew; the output is the same as without it.
+    1 - keep_prob and scales survivors by 1/keep_prob. MC sweeps run
+    their passes in mc_spectral_stats, not here.
     """
-    draw = dropout_mask if mask_memo is None else mask_memo
-    if first_hidden is None:
-        X, single = _input_rows(model, x)
-    else:
-        X, single = x, False
-
+    X, single = _input_rows(model, x)
     zs, hiddens, masks = [], [X], []
     h = X
     for l in range(len(model.weights) - 1):
-        if l == 0 and first_hidden is not None:
-            # relu(z) > 0 exactly where z > 0, so backward reads the
-            # same ReLU gates from h0 as from layer 0's pre-activation.
-            z = h = first_hidden
-        else:
-            z = h @ model.weights[l].T + model.biases[l]
-            h = relu(z)
+        z = h @ model.weights[l].T + model.biases[l]
+        h = relu(z)
         zs.append(z)
         if stream is not None and model.keep_prob < 1.0:
-            mask = draw(stream, l, X.shape[0], z.shape[1], model.keep_prob)
+            mask = dropout_mask(stream, l, X.shape[0], z.shape[1], model.keep_prob)
             h = h * mask
             masks.append(mask)
         else:
@@ -545,6 +526,11 @@ def load_model(path) -> MlpModel:
         if (not isinstance(layer_dims, list) or len(layer_dims) < 2
                 or not all(type(d) is int and d > 0 for d in layer_dims)):
             raise ValueError(f"layer_dims {layer_dims!r}")
+        # Hidden layers are always ReLU; a file that declares anything else
+        # would otherwise load and run as a different network.
+        hidden_activation = header["hidden_activation"]
+        if hidden_activation != "relu":
+            raise ValueError(f"hidden_activation {hidden_activation!r}")
         output_activation = header["output_activation"]
         if output_activation not in ("relu", "softmax"):
             raise ValueError(f"output_activation {output_activation!r}")

@@ -184,9 +184,10 @@ class BankOutputs:
     masks match row for row whichever frames chose it.
 
     `mask_memo` is the utterance's MaskMemo: every expert sweep reads it, so a
-    mask is drawn once and kept packed (one bit per unit) for the experts
-    after the first, and for any other sweep over these frames with the
-    same MC config (evaluate's single-mc).
+    mask is drawn once and kept packed (one bit per unit); the experts
+    after the first, and any other sweep over these frames with the same
+    MC config (evaluate's single-mc), get its kept bits back unpacked,
+    with no float mask rebuilt.
     """
 
     def __init__(self, bank: ModelBank, mag: np.ndarray, mc: McConfig):

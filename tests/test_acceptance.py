@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from mcenhance.corpus import mix_at_snr, noise_spec, synth_noise, synth_speech
 from mcenhance.dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_wav
@@ -35,6 +36,10 @@ from mcenhance.pipeline import (
 )
 
 from conftest import ACCEPTANCE_LINES, MINI, random_model
+
+# The desk-scale criteria take most of a full run; `-m "not acceptance"`
+# leaves them out for a fast inner loop.
+pytestmark = pytest.mark.acceptance
 
 
 def _verdict(name, ok, detail=""):

@@ -352,6 +352,26 @@ def test_corrupt_model_header_exits_4(mini_cli, capsys):
     assert "single.model" in err and "n_train_frames" in err
 
 
+def test_model_declaring_tanh_hidden_layers_exits_4(mini_cli, capsys):
+    """Hidden layers always run as ReLU, so a file that declares another
+    activation is refused rather than run as a different network."""
+    cfg, flags, tmp = mini_cli
+    models = tmp / "models_tanh"
+    models.mkdir()
+    path = models / "single.model"
+    save_model(random_model(np.random.default_rng(13), (257, 16, 257)), path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + hlen])
+    blob = json.dumps({**header, "hidden_activation": "tanh"}).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+    rc, err = _exit_code_and_err(capsys, [
+        "enhance", *flags, "--models-dir", str(models), "single-conv",
+        _noisy_wav(cfg), str(tmp / "out.wav")])
+    assert rc == 4  # CorruptFile
+    assert "single.model" in err and "hidden_activation" in err
+
+
 @pytest.mark.parametrize("content", [
     b"{", b"{}", b'{"mu_star": "x"}', b'{"mu_star": null}', b'{"mu_star": -1}',
     b'{"mu_star": true}', b"[0.5]", b"\xff\xfe{}",

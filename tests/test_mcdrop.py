@@ -184,6 +184,22 @@ def test_streaming_sweep_short_circuits_frames_where_passes_agree():
     assert np.any(sweep.variances > cfg.tau_inv)
 
 
+def test_streaming_sweep_bit_exact_when_hidden_units_overflow():
+    # Huge layer-0 weights push hidden units to inf and to finite values
+    # whose 1/keep_prob rescale overflows; inf - inf in layer 1 makes NaN.
+    # A dropped inf unit is inf * 0 = NaN in forward's mask multiply, so
+    # masking by a fill or a where= would differ here.
+    rng = np.random.default_rng(27)
+    model = random_model(rng, (6, 10, 10, 5), keep_prob=0.8)
+    model.weights[0][::2] *= 1e308
+    model.weights[0][1::2] *= 1e306
+    mag = rng.uniform(0.0, 3.0, size=(24, 6))
+    mag[::5] = 0.0
+    with np.errstate(all="ignore"):
+        sweep = assert_sweep_matches_oracle(model, mag, McConfig(n_passes=6, rng_seed=4))
+    assert np.isnan(sweep.means).any() and np.isfinite(sweep.means).any()
+
+
 @pytest.mark.parametrize("dims", [(6, 5), (6, 8, 5)])
 def test_sweep_without_dropout_is_the_deterministic_pass(dims):
     rng = np.random.default_rng(23)
@@ -210,6 +226,28 @@ def test_streaming_sweep_memory_does_not_grow_with_passes():
         tracemalloc.stop()
     # Stacking the passes alone would take 8*T*n*bins bytes.
     assert peak < 8 * T * n * model.out_dim / 2
+
+
+def test_sweep_allocates_its_pass_buffers_once():
+    # Units of U = n * width * 8 bytes. The sweep holds h0, one buffer per
+    # hidden layer, the output, two running sums and pass 0's output,
+    # plus one mask draw in flight (about 3U): 11U at L = 3 hidden layers.
+    # A pass that keeps forward's cache (its pre-activations, hiddens and
+    # masks) alive into the next pass peaks at about 25U.
+    rng = np.random.default_rng(28)
+    width, n = 64, 300
+    model = random_model(rng, (width,) * 5, keep_prob=0.8)
+    model.input_mean = rng.uniform(0.5, 1.5, size=width)
+    model.input_std = rng.uniform(0.5, 2.0, size=width)
+    mag = rng.uniform(0.0, 2.0, size=(n, width))
+    mc_spectral_stats(model, mag, McConfig(n_passes=2))  # warm caches
+    tracemalloc.start()
+    try:
+        mc_spectral_stats(model, mag, McConfig(n_passes=8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * n * width * 8
 
 
 def test_mask_memo_keeps_one_bit_per_unit():
