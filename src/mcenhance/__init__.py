@@ -39,6 +39,7 @@ _EXPORTS = {
     "ssnr": "metrics",
     "variance_error_correlation": "metrics",
     "threshold_sweep": "metrics",
+    "summarize": "summary",
     "NoiseSpec": "corpus",
     "synth_speech": "corpus",
     "synth_noise": "corpus",

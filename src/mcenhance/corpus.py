@@ -547,7 +547,7 @@ def build_dataset(manifest: DatasetManifest, out_dir) -> Path:
         clean_out = Signal(samples=clean.samples * gain, sample_rate_hz=sr)
         noisy_out = Signal(samples=noisy.samples * gain, sample_rate_hz=sr)
 
-        edir = out_dir / e.split / entry_id(e)
+        edir = entry_dir(out_dir, e)
         edir.mkdir(parents=True, exist_ok=True)
         write_wav(edir / "clean.wav", clean_out)
         write_wav(edir / "noisy.wav", noisy_out)
@@ -580,9 +580,13 @@ def entries_for(manifest: DatasetManifest, split: str, noise: str | None = None)
     return out
 
 
+def entry_dir(dataset_dir, entry: MixEntry) -> Path:
+    """Where build_dataset writes an entry's clean.wav, noisy.wav and frames.mcfr."""
+    return Path(dataset_dir) / entry.split / entry_id(entry)
+
+
 def load_entry_frames(dataset_dir, entry: MixEntry) -> tuple[np.ndarray, np.ndarray]:
-    edir = Path(dataset_dir) / entry.split / entry_id(entry)
-    cache = edir / "frames.mcfr"
+    cache = entry_dir(dataset_dir, entry) / "frames.mcfr"
     if not cache.exists():
         raise MissingCorpus(f"no frame cache at {cache}")
     try:
@@ -593,7 +597,7 @@ def load_entry_frames(dataset_dir, entry: MixEntry) -> tuple[np.ndarray, np.ndar
 
 def load_entry_signals(dataset_dir, entry: MixEntry) -> tuple[Signal, Signal]:
     """Returns (clean, noisy) as written to disk."""
-    edir = Path(dataset_dir) / entry.split / entry_id(entry)
+    edir = entry_dir(dataset_dir, entry)
     for name in ("clean.wav", "noisy.wav"):
         if not (edir / name).exists():
             raise MissingCorpus(f"missing {edir / name}")

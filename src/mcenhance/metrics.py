@@ -13,7 +13,7 @@ from .errors import (
     NoVoicedFrames,
     ShapeMismatch,
 )
-from .selection import PolicyKind, SelectionPolicy, route_frames, sweep_bank
+from .selection import PolicyKind, SelectionPolicy, route_frames
 
 SSNR_FLOOR_DB = -10.0
 SSNR_CEIL_DB = 35.0
@@ -72,12 +72,14 @@ def variance_error_correlation(
 def threshold_sweep(test_set, mu_values: np.ndarray) -> list:
     """SSE of the mu-switched policy at each threshold.
 
-    test_set yields (condition, BankOutputs, clean magnitudes) triples.
-    Each entry's bank sweep is reduced to per-frame squared errors [M, n]
-    and cached with its traces and posteriors; routing is a pure function
-    of those, so each mu only indexes the SE array. Returns rows of
-    (mu, condition, sse) where sse is the mean of per-file totals,
-    ordered by mu then by first appearance of the condition.
+    test_set yields one (condition, se, traces, posteriors) tuple per
+    entry: each expert's per-frame squared error against clean [M, n],
+    its trace variances [M, n] and the classifier posteriors [n, M], as
+    summary.summarize makes them from a BankOutputs. Routing is a pure
+    function of traces and posteriors, so each mu only indexes se.
+    Returns rows of (mu, condition, sse) where sse is the mean of
+    per-file totals, ordered by mu then by first appearance of the
+    condition.
     """
     mu_values = np.asarray(mu_values, dtype=np.float64)
     if mu_values.ndim != 1 or mu_values.size == 0:
@@ -85,21 +87,13 @@ def threshold_sweep(test_set, mu_values: np.ndarray) -> list:
     if np.any(np.diff(mu_values) < 0):
         raise InvalidConfig("mu_values must be sorted ascending")
 
-    conditions = []
-    cached = []
-    for condition, outputs, clean_mag in test_set:
-        if condition not in conditions:
-            conditions.append(condition)
-        posteriors = outputs.posteriors()  # checks the classifier before any sweep
-        means, traces = sweep_bank(outputs)
-        se = np.stack([sse(clean_mag, m)[1] for m in means])
-        cached.append((condition, se, traces, posteriors))
-
+    entries = list(test_set)
+    conditions = list(dict.fromkeys(condition for condition, *_ in entries))
     rows = []
     for mu in mu_values:
         policy = SelectionPolicy(kind=PolicyKind.MU_MC, mu=float(mu))
         totals = {c: [] for c in conditions}
-        for condition, se, traces, posteriors in cached:
+        for condition, se, traces, posteriors in entries:
             chosen, _ = route_frames(policy, traces, posteriors)
             totals[condition].append(float(se[chosen, np.arange(len(chosen))].sum()))
         for condition in conditions:

@@ -122,7 +122,6 @@ class ForwardCache:
     masks: list
     y: np.ndarray
     layer_dims: tuple
-    single: bool
 
 
 @dataclass
@@ -230,18 +229,16 @@ class MaskMemo:
         return np.unpackbits(bits, count=n_rows * width).reshape(n_rows, width).view(bool)
 
 
-def _input_rows(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Checked, normalised input as rows, and whether x was one vector."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def _input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Checked, normalised input rows [n, in_dim]."""
+    X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
-        raise DimensionMismatch(f"input shape {x.shape}, expected last dim {model.in_dim}")
+        raise DimensionMismatch(f"input shape {X.shape}, expected [rows, {model.in_dim}]")
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("input contains NaN or inf")
     if model.input_mean is not None:
         X = (X - model.input_mean) / model.input_std
-    return X, single
+    return X
 
 
 def input_layer(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -253,14 +250,14 @@ def input_layer(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """
     if len(model.weights) < 2:
         raise DimensionMismatch("model has no hidden layer")
-    X, _ = _input_rows(model, x)
+    X = _input_rows(model, x)
     return relu(X @ model.weights[0].T + model.biases[0])
 
 
 def forward(
     model: MlpModel, x: np.ndarray, stream: DropoutStream | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a vector or a batch of row vectors, keeping
+    """Run the network on a batch of row vectors [n, in_dim], keeping
     what backward reads; the training pass and the dropout-off pass.
 
     stream=None is the deterministic mode (no masks, no rescaling);
@@ -268,7 +265,7 @@ def forward(
     1 - keep_prob and scales survivors by 1/keep_prob. MC sweeps run
     their passes in mc_spectral_stats, not here.
     """
-    X, single = _input_rows(model, x)
+    X = _input_rows(model, x)
     zs, hiddens, masks = [], [X], []
     h = X
     for l in range(len(model.weights) - 1):
@@ -285,11 +282,8 @@ def forward(
     z = h @ model.weights[-1].T + model.biases[-1]
     zs.append(z)
     y = relu(z) if model.output_activation == "relu" else softmax(z)
-    cache = ForwardCache(
-        zs=zs, hiddens=hiddens, masks=masks, y=y,
-        layer_dims=tuple(model.layer_dims), single=single,
-    )
-    return (y[0] if single else y), cache
+    return y, ForwardCache(zs=zs, hiddens=hiddens, masks=masks, y=y,
+                           layer_dims=tuple(model.layer_dims))
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradients:
@@ -297,10 +291,9 @@ def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradie
     subgradient 0 at 0)."""
     if cache.layer_dims != tuple(model.layer_dims):
         raise CacheMismatch(f"cache dims {cache.layer_dims} vs model {tuple(model.layer_dims)}")
-    grad_y = np.asarray(grad_y, dtype=np.float64)
-    G = grad_y[None, :] if cache.single else grad_y
+    G = np.asarray(grad_y, dtype=np.float64)
     if G.shape != cache.y.shape:
-        raise CacheMismatch(f"grad shape {grad_y.shape} vs output {cache.y.shape}")
+        raise CacheMismatch(f"grad shape {G.shape} vs output {cache.y.shape}")
 
     if model.output_activation == "relu":
         delta = G * (cache.zs[-1] > 0)
@@ -506,10 +499,9 @@ def save_model(model: MlpModel, path) -> None:
             fh.write(model.input_std.astype("<f8").tobytes())
 
 
-def load_model(path) -> MlpModel:
-    """Read a model file; inverse of save_model, bit-exact."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _parse_header(data: bytes, path) -> tuple[dict, int]:
+    """The checked header fields at the start of a model file's bytes, and
+    the offset where its parameters begin."""
     if len(data) < 12 or data[:4] != MODEL_MAGIC:
         raise CorruptFile(f"{path}: bad magic")
     version = int(np.frombuffer(data[4:8], dtype="<u4")[0])
@@ -557,11 +549,34 @@ def load_model(path) -> MlpModel:
             raise ValueError(f"input_norm {norm!r}")
     except (ValueError, TypeError, KeyError, OverflowError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: bad header ({exc})") from exc
+    checked = dict(layer_dims=layer_dims, output_activation=output_activation,
+                   keep_prob=keep_prob, weight_decay=weight_decay,
+                   n_train_frames=n_train_frames, seed=seed, noise_label=noise_label,
+                   input_norm=norm)
+    return checked, 12 + hlen
+
+
+def read_model_header(path) -> dict:
+    """A model file's checked header fields (layer_dims, activations,
+    keep_prob, weight_decay, n_train_frames, seed, noise_label, input_norm),
+    reading only the header's bytes."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        hlen = int.from_bytes(head[8:12], "little") if len(head) == 12 else 0
+        return _parse_header(head + fh.read(hlen), path)[0]
+
+
+def load_model(path) -> MlpModel:
+    """Read a model file; inverse of save_model, bit-exact."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header, start = _parse_header(data, path)
+    layer_dims, norm = header["layer_dims"], header.pop("input_norm")
 
     n_params = sum(di * do + do for di, do in zip(layer_dims[:-1], layer_dims[1:]))
     if norm == "zscore":
         n_params += 2 * layer_dims[0]
-    body = data[12 + hlen:]
+    body = data[start:]
     if len(body) != 8 * n_params:
         raise CorruptFile(f"{path}: expected {8 * n_params} parameter bytes, got {len(body)}")
     flat = np.frombuffer(body, dtype="<f8")
@@ -579,16 +594,5 @@ def load_model(path) -> MlpModel:
         pos += layer_dims[0]
         input_std = flat[pos:pos + layer_dims[0]].copy()
 
-    return MlpModel(
-        layer_dims=layer_dims,
-        weights=weights,
-        biases=biases,
-        output_activation=output_activation,
-        keep_prob=keep_prob,
-        weight_decay=weight_decay,
-        n_train_frames=n_train_frames,
-        seed=seed,
-        noise_label=noise_label,
-        input_mean=input_mean,
-        input_std=input_std,
-    )
+    return MlpModel(weights=weights, biases=biases, input_mean=input_mean,
+                    input_std=input_std, **header)

@@ -34,6 +34,7 @@ from .neural import (
     forward,
     is_int,
     load_model,
+    read_model_header,
     save_model,
     train_classifier,
     train_regressor,
@@ -49,6 +50,7 @@ from .selection import (
     validate_bank,
     write_bank_manifest,
 )
+from .summary import load_summary, summarize, summary_key, summary_path, write_summary
 
 POLICY_NAMES = ("single-conv", "single-mc", "class-conv", "class-mc",
                 "var-mc", "mu-mc")
@@ -297,15 +299,15 @@ def run_train(cfg: ExperimentConfig, scope: str) -> list:
                 _train_cfg(cfg, _derived_seed(cfg.seed, _TAG_CLASSIFIER)),
                 n_classes=len(labels), noise_label="classifier"))
 
-    # Every model file is on disk by now, so only bank.json is written. Models
-    # trained here are reused, not reloaded: reloading only churns the heap.
+    # Every model file is on disk by now, so only bank.json is written. It
+    # needs each expert's keep probability: the trained model's, else the
+    # one in its file header, so no model is reloaded.
     expert_files = [models_dir / f"expert_{label}.model" for label in labels]
-    classifier = models_dir / "classifier.model"
     if scope != "single" and all(p.exists() for p in expert_files):
-        write_bank_manifest(ModelBank(
-            models=[trained.get(p.stem) or load_model(p) for p in expert_files], labels=labels,
-            classifier=trained.get("classifier") or (
-                load_model(classifier) if classifier.exists() else None)), models_dir)
+        keep_probs = [trained[p.stem].keep_prob if p.stem in trained
+                      else read_model_header(p)["keep_prob"] for p in expert_files]
+        write_bank_manifest(labels, keep_probs,
+                            (models_dir / "classifier.model").exists(), models_dir)
     return written
 
 
@@ -416,23 +418,65 @@ def _read_split(cfg: ExperimentConfig, manifest: DatasetManifest, split: str,
     return [(condition, entries, read(entries)) for condition, entries in groups.items()]
 
 
+def _summary_key(cfg: ExperimentConfig, manifest: DatasetManifest, split: str,
+                 bank: ModelBank, mc: McConfig) -> bytes | None:
+    """The split's sweep-summary key, or None when a file it digests cannot
+    be read; the sweep then reports that file as it always did."""
+    try:
+        return summary_key(bank, mc, manifest, cfg.corpus_dir, split)
+    except OSError:
+        return None
+
+
+def _load_split_summary(cfg: ExperimentConfig, manifest: DatasetManifest, split: str,
+                        bank: ModelBank, mc: McConfig) -> tuple[bytes | None, dict | None]:
+    """The split's summary key, and its (se, traces, posteriors) rows by
+    entry id when the summary on disk holds that key (None on a miss)."""
+    key = _summary_key(cfg, manifest, split, bank, mc)
+    rows = load_summary(summary_path(cfg.reports_dir, split), key) if key else None
+    entries = entries_for(manifest, split)
+    if rows is None or len(rows) != len(entries):
+        return key, None
+    return key, {entry_id(e): row for e, row in zip(entries, rows)}
+
+
+def _publish_summary(cfg: ExperimentConfig, manifest: DatasetManifest, split: str,
+                     key: bytes | None, bank: ModelBank, by_entry: dict) -> None:
+    """Write the split's summary. It only saves later verbs their sweeps,
+    so when its inputs or its file cannot be read or written the verb goes
+    on without it."""
+    if key is None:
+        return
+    try:
+        write_summary(summary_path(cfg.reports_dir, split), key, len(bank.models),
+                      [by_entry[entry_id(e)] for e in entries_for(manifest, split)])
+    except OSError:
+        pass
+
+
 def run_evaluate(cfg: ExperimentConfig, mu: float | None = None, split: str = "test") -> list:
     """Mean SSE and SSNR per (noise, SNR, policy) for each of cfg.policies;
     writes eval.csv.
 
+    When the policies read every expert's traces and the classifier
+    posteriors (mu-mc, or var-mc with a class policy), also publishes the
+    split's sweep summary from what they swept, for correlate and sweep.
     Returns dict rows so callers can assert on them directly.
     """
     policies = cfg.policies
     manifest = open_dataset(cfg.corpus_dir)
     frame = manifest.frame
     models = load_policy_models(cfg, policies, mu)
+    reads_all = "mu-mc" in policies or (
+        "var-mc" in policies and bool({"class-conv", "class-mc"} & set(policies)))
+    summarized = {} if reads_all else None
 
     rows = []
     for (noise, snr_db), entries, read in _read_split(cfg, manifest, split,
                                                       models.bank, models.mc):
         sse_acc = {p: [] for p in policies}
         ssnr_acc = {p: [] for p in policies}
-        for _, clean_sig, frames, clean_mag, outputs in read:
+        for e, clean_sig, frames, clean_mag, outputs in read:
             for p in policies:
                 est, _ = models.enhance(p, frames.magnitude, outputs)
                 total, _ = sse(clean_mag, est)
@@ -441,6 +485,8 @@ def run_evaluate(cfg: ExperimentConfig, mu: float | None = None, split: str = "t
                                    sample_rate_hz=clean_sig.sample_rate_hz)
                 sse_acc[p].append(total)
                 ssnr_acc[p].append(ssnr(clean_cut, est_sig, frame))
+            if summarized is not None:  # every number it reads is already kept
+                summarized[entry_id(e)] = summarize(outputs, clean_mag)
         for p in policies:
             rows.append({
                 "condition": noise,
@@ -458,28 +504,47 @@ def run_evaluate(cfg: ExperimentConfig, mu: float | None = None, split: str = "t
                 ["condition", "snr_db", "policy", "sse", "ssnr"], csv_rows,
                 comment="sse: mean over files of per-file totals on magnitude "
                         "frames; ssnr: mean over files, dB")
+    if summarized is not None:
+        _publish_summary(cfg, manifest, split,
+                         _summary_key(cfg, manifest, split, models.bank, models.mc),
+                         models.bank, summarized)
     return rows
 
 
 # ------------------------------------------------------------ correlate
 
+def _expert_stats(j: int, entries, read, summarized: dict | None):
+    """(entry, per-frame squared error, traces) of expert j over one
+    condition's entries: read from the split's summary on a hit, else
+    one sweep of expert j per entry."""
+    if summarized is not None:
+        for e in entries:
+            se, traces, _ = summarized[entry_id(e)]
+            yield e, se[j], traces[j]
+        return
+    for e, _, _, clean_mag, outputs in read:
+        means, trace = outputs.mc_stats(j)
+        yield e, sse(clean_mag, means)[1], trace
+
+
 def run_correlate(cfg: ExperimentConfig, split: str = "test") -> list:
     """Pearson r between per-frame squared error and trace variance for
     the matched expert on every seen condition; writes correlation.csv
-    and the per-frame scatter.csv."""
+    and the per-frame scatter.csv. Reads the split's sweep summary when
+    its key matches."""
     manifest = open_dataset(cfg.corpus_dir)
     bank = load_bank(cfg.models_dir)
+    mc = _mc_cfg(cfg)
+    _, summarized = _load_split_summary(cfg, manifest, split, bank, mc)
 
     rows = []
     scatter = []
-    for (noise, snr_db), _, read in _read_split(cfg, manifest, split, bank, _mc_cfg(cfg)):
+    for (noise, snr_db), entries, read in _read_split(cfg, manifest, split, bank, mc):
         if noise not in bank.labels:
             continue
         j = bank.labels.index(noise)
         ses, traces = [], []
-        for e, _, _, clean_mag, outputs in read:
-            means, trace = outputs.mc_stats(j)
-            _, per_frame = sse(clean_mag, means)
+        for e, per_frame, trace in _expert_stats(j, entries, read, summarized):
             ses.append(per_frame)
             traces.append(trace)
             for i in range(per_frame.size):
@@ -507,18 +572,24 @@ def run_sweep(cfg: ExperimentConfig, split: str = "test") -> tuple[list, float |
     """Threshold sweep of cfg.mu_grid over one split; on the val split
     also selects and records mu_star (smallest threshold that keeps every
     trained-noise condition within MU_GUARDRAIL of the largest-mu
-    column)."""
+    column). Reads the split's sweep summary when its key matches, else
+    sweeps the split and publishes it."""
     grid = np.asarray(cfg.mu_grid, dtype=np.float64)
     manifest = open_dataset(cfg.corpus_dir)
     bank = load_bank(cfg.models_dir)
-    if not entries_for(manifest, split):
+    entries = entries_for(manifest, split)
+    if not entries:
         raise EmptyDataset(f"no entries in split {split!r}")
 
+    mc = _mc_cfg(cfg)
+    key, summarized = _load_split_summary(cfg, manifest, split, bank, mc)
+    swept = summarized is None
+    if swept:
+        summarized = {entry_id(e): summarize(outputs, clean_mag)
+                      for _, _, read in _read_split(cfg, manifest, split, bank, mc)
+                      for e, _, _, clean_mag, outputs in read}
     rows = threshold_sweep(
-        ((f"{noise}_snr{snr_db:+d}", outputs, clean_mag)
-         for (noise, snr_db), _, read in _read_split(cfg, manifest, split, bank, _mc_cfg(cfg))
-         for _, _, _, clean_mag, outputs in read),
-        grid)
+        ((f"{e.noise}_snr{e.snr_db:+d}", *summarized[entry_id(e)]) for e in entries), grid)
     name = "sweep.csv" if split == "test" else f"sweep_{split}.csv"
     _write_rows(Path(cfg.reports_dir) / name,
                 ["mu", "condition", "sse"],
@@ -530,6 +601,8 @@ def run_sweep(cfg: ExperimentConfig, split: str = "test") -> tuple[list, float |
         mu_star = _select_mu_star(rows, grid, bank.labels)
         with publish(Path(cfg.reports_dir) / "mu_star.json", "w") as fh:
             fh.write(json.dumps({"mu_star": mu_star, "grid": grid.tolist()}, indent=2) + "\n")
+    if swept:
+        _publish_summary(cfg, manifest, split, key, bank, summarized)
     return rows, mu_star
 
 

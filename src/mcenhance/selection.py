@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,11 +45,17 @@ class SelectionPolicy:
 
 @dataclass
 class ModelBank:
-    """M noise-specific regressors, their labels, and the label classifier."""
+    """M noise-specific regressors, their labels, and the label classifier.
+
+    `files` are the model files load_bank read: each expert's in bank
+    order, then the classifier's when the bank has one; empty for a bank
+    built in memory.
+    """
 
     models: list
     labels: list
     classifier: MlpModel | None = None
+    files: list = field(default_factory=list)
 
 
 def validate_bank(bank: ModelBank, need_classifier: bool = False) -> None:
@@ -81,18 +87,19 @@ def save_bank(bank: ModelBank, dir_path) -> None:
         save_model(model, dir_path / f"expert_{label}.model")
     if bank.classifier is not None:
         save_model(bank.classifier, dir_path / "classifier.model")
-    write_bank_manifest(bank, dir_path)
+    write_bank_manifest(bank.labels, [m.keep_prob for m in bank.models],
+                        bank.classifier is not None, dir_path)
 
 
-def write_bank_manifest(bank: ModelBank, dir_path) -> None:
-    """Publish bank.json for a bank whose model files are already in
-    dir_path: expert_<label>.model per label, and classifier.model."""
-    validate_bank(bank, need_classifier=bank.classifier is not None)
+def write_bank_manifest(labels, keep_probs, has_classifier: bool, dir_path) -> None:
+    """Publish bank.json for model files already in dir_path:
+    expert_<label>.model per label with its keep probability, and
+    classifier.model when has_classifier. load_bank checks the files."""
     manifest = {
-        "labels": list(bank.labels),
-        "model_files": [f"expert_{label}.model" for label in bank.labels],
-        "keep_probs": [m.keep_prob for m in bank.models],
-        "classifier_file": None if bank.classifier is None else "classifier.model",
+        "labels": list(labels),
+        "model_files": [f"expert_{label}.model" for label in labels],
+        "keep_probs": list(keep_probs),
+        "classifier_file": "classifier.model" if has_classifier else None,
     }
     with publish(Path(dir_path) / BANK_MANIFEST, "w") as fh:
         fh.write(json.dumps(manifest, indent=2) + "\n")
@@ -121,9 +128,10 @@ def load_bank(dir_path) -> ModelBank:
     if not (len(labels) == len(model_files) == len(keep_probs)):
         raise InvalidManifest(f"{manifest_path}: label/file/keep_prob counts differ")
 
-    models = []
+    models, files = [], []
     for fname, p in zip(model_files, keep_probs):
         path = dir_path / fname
+        files.append(path)
         if not path.is_file():
             raise MissingModels(f"bank references missing file {path}")
         model = load_model(path)
@@ -141,8 +149,9 @@ def load_bank(dir_path) -> ModelBank:
         if not cpath.is_file():
             raise MissingModels(f"bank references missing classifier {cpath}")
         classifier = load_model(cpath)
+        files.append(cpath)
 
-    bank = ModelBank(models=models, labels=labels, classifier=classifier)
+    bank = ModelBank(models=models, labels=labels, classifier=classifier, files=files)
     validate_bank(bank, need_classifier=classifier is not None)
     return bank
 

@@ -324,6 +324,34 @@ def _exit_code_and_err(capsys, argv):
     return rc, err
 
 
+@pytest.mark.parametrize("damage", ["flip", "truncate", "version", "directory"])
+def test_damaged_sweep_summary_is_a_miss(mini_cli, capsys, damage):
+    cfg, flags, tmp = mini_cli
+    reports = tmp / "reports"
+    assert main(["evaluate", *flags, "--policies", "mu-mc"]) == 0
+    path = reports / "sweeps" / "test.mcss"
+
+    def report_bytes():
+        for verb in ("correlate", "sweep"):
+            rc, _ = _exit_code_and_err(capsys, [verb, *flags])
+            assert rc == 0
+        return [(reports / name).read_bytes()
+                for name in ("correlation.csv", "scatter.csv", "sweep.csv")]
+
+    expected = report_bytes()  # read from evaluate's summary
+    raw = path.read_bytes()
+    if damage == "flip":
+        path.write_bytes(raw[:60] + bytes([raw[60] ^ 1]) + raw[61:])
+    elif damage == "truncate":
+        path.write_bytes(raw[:-5])
+    elif damage == "version":
+        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+    else:
+        path.unlink()
+        path.mkdir()
+    assert report_bytes() == expected
+
+
 def test_enhance_with_wrong_bin_count_exits_3(mini_cli, capsys):
     cfg, flags, tmp = mini_cli
     models = tmp / "models64"

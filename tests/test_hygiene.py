@@ -67,3 +67,13 @@ def test_one_module_writes_through_a_tmp_file():
     modules = [path.name for path in sorted((ROOT / "src" / "mcenhance").glob("*.py"))
                if ".tmp" in path.read_text()]
     assert modules == ["dsp.py"]
+
+
+def test_one_module_owns_the_sweep_summary_format():
+    """The summary's magic and suffix live in summary.py alone, so its
+    writer, reader and key stay behind one owner."""
+    from mcenhance import summary
+    for token in (summary.SUMMARY_MAGIC.decode(), ".mcss"):
+        modules = [path.name for path in sorted((ROOT / "src" / "mcenhance").glob("*.py"))
+                   if token in path.read_text()]
+        assert modules == ["summary.py"], token

@@ -17,6 +17,7 @@ from mcenhance.metrics import (
     variance_error_correlation,
 )
 from mcenhance.selection import BankOutputs, PolicyKind, SelectionPolicy, select_frames
+from mcenhance.summary import summarize
 from test_selection import make_bank
 
 CFG = FrameConfig()
@@ -121,12 +122,18 @@ def _entry(bank, mc, rng, condition, n_samples):
     return condition, BankOutputs(bank, stft(noisy, CFG).magnitude, mc), stft(clean, CFG).magnitude
 
 
+def _summarized(entry):
+    """threshold_sweep's (condition, se, traces, posteriors) for one entry."""
+    condition, outputs, clean_mag = entry
+    return (condition, *summarize(outputs, clean_mag))
+
+
 def test_threshold_sweep_requires_ascending_grid():
     rng = np.random.default_rng(5)
     bank = make_bank(rng, n_models=2, in_dim=CFG.n_bins)
     entry = _entry(bank, McConfig(n_passes=2, rng_seed=0), rng, "c", 4000)
     with pytest.raises(InvalidConfig):
-        threshold_sweep([entry], np.array([0.2, 0.1]))
+        threshold_sweep([_summarized(entry)], np.array([0.2, 0.1]))
 
 
 def test_threshold_sweep_endpoints_match_direct_policies():
@@ -135,7 +142,7 @@ def test_threshold_sweep_endpoints_match_direct_policies():
     mc = McConfig(n_passes=3, rng_seed=1)
     entry = _entry(bank, mc, rng, "cond_a", 6000)
     grid = np.array([0.0, 0.5, 1e9])
-    rows = threshold_sweep([entry], grid)
+    rows = threshold_sweep([_summarized(entry)], grid)
     assert len(rows) == 3
     by_mu = {mu: val for mu, cond, val in rows}
 
@@ -155,8 +162,9 @@ def test_threshold_sweep_is_pure():
     mc = McConfig(n_passes=2, rng_seed=2)
     condition, outputs, clean_mag = _entry(bank, mc, rng, "c", 4000)
     grid = np.array([0.0, 1.0])
-    r1 = threshold_sweep([(condition, outputs, clean_mag)], grid)
-    r2 = threshold_sweep([(condition, BankOutputs(bank, outputs.mag, mc), clean_mag)], grid)
+    r1 = threshold_sweep([_summarized((condition, outputs, clean_mag))], grid)
+    r2 = threshold_sweep([_summarized((condition, BankOutputs(bank, outputs.mag, mc), clean_mag))],
+                         grid)
     assert r1 == r2
 
 
@@ -164,7 +172,7 @@ def test_threshold_sweep_averages_over_files():
     rng = np.random.default_rng(8)
     bank = make_bank(rng, n_models=2, in_dim=CFG.n_bins)
     mc = McConfig(n_passes=2, rng_seed=3)
-    files = [_entry(bank, mc, rng, "same_cond", 4000) for _ in range(3)]
+    files = [_summarized(_entry(bank, mc, rng, "same_cond", 4000)) for _ in range(3)]
     rows = threshold_sweep(files, np.array([0.1]))
     assert len(rows) == 1
     singles = [threshold_sweep([f], np.array([0.1]))[0][2] for f in files]

@@ -38,6 +38,7 @@ from mcenhance.neural import (
     load_model,
     msle_grad,
     msle_loss,
+    read_model_header,
     save_model,
     softmax,
     train_classifier,
@@ -57,8 +58,8 @@ def tiny_fixed_model():
 
 def test_forward_hand_oracle():
     # x=1: z1 = (1*1+0, 2*1+1) = (1, 3); relu keeps both; y = 1+3+0 = 4
-    y, _ = forward(tiny_fixed_model(), np.array([1.0]))
-    np.testing.assert_allclose(y, [4.0], atol=0)
+    y, _ = forward(tiny_fixed_model(), np.array([[1.0]]))
+    np.testing.assert_allclose(y, [[4.0]], atol=0)
 
 
 def test_forward_batch_matches_single_rows():
@@ -67,17 +68,19 @@ def test_forward_batch_matches_single_rows():
     X = rng.standard_normal((6, 5))
     Y, _ = forward(model, X)
     for i in range(6):
-        yi, _ = forward(model, X[i])
+        yi, _ = forward(model, X[i:i + 1])
         # BLAS batches and single rows can differ in the last ulp
-        np.testing.assert_allclose(Y[i], yi, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(Y[i:i + 1], yi, rtol=1e-12, atol=1e-15)
 
 
 def test_forward_input_validation():
     model = tiny_fixed_model()
     with pytest.raises(DimensionMismatch):
-        forward(model, np.zeros(3))
+        forward(model, np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch):  # one vector is not a frame matrix
+        forward(model, np.zeros(1))
     with pytest.raises(NonFiniteInput):
-        forward(model, np.array([np.nan]))
+        forward(model, np.array([[np.nan]]))
 
 
 def test_softmax_rows_sum_to_one():
@@ -197,11 +200,11 @@ def test_backward_rejects_stale_cache():
     rng = np.random.default_rng(45)
     m1 = random_model(rng, (4, 6, 3), keep_prob=1.0)
     m2 = random_model(rng, (4, 7, 3), keep_prob=1.0)
-    y, cache = forward(m1, rng.standard_normal(4))
+    y, cache = forward(m1, rng.standard_normal((1, 4)))
     with pytest.raises(CacheMismatch):
-        backward(m2, cache, np.zeros(3))
+        backward(m2, cache, np.zeros((1, 3)))
     with pytest.raises(CacheMismatch):
-        backward(m1, cache, np.zeros(5))
+        backward(m1, cache, np.zeros((1, 5)))
 
 
 def test_adam_first_step_scalar_oracle():
@@ -307,7 +310,7 @@ def test_dropout_mask_is_unbiased():
 def test_forward_keep_prob_one_ignores_stream():
     rng = np.random.default_rng(47)
     model = random_model(rng, (5, 8, 3), keep_prob=1.0)
-    x = rng.standard_normal(5)
+    x = rng.standard_normal((1, 5))
     y_det, _ = forward(model, x)
     y_mc, _ = forward(model, x, stream=DropoutStream(seed=0))
     np.testing.assert_array_equal(y_det, y_mc)
@@ -316,7 +319,7 @@ def test_forward_keep_prob_one_ignores_stream():
 def test_forward_dropout_changes_between_passes():
     rng = np.random.default_rng(48)
     model = random_model(rng, (5, 32, 32, 3), keep_prob=0.5)
-    x = rng.uniform(0.5, 1.5, size=5)
+    x = rng.uniform(0.5, 1.5, size=(1, 5))
     y0, _ = forward(model, x, stream=DropoutStream(seed=0, pass_index=0))
     y1, _ = forward(model, x, stream=DropoutStream(seed=0, pass_index=1))
     assert not np.array_equal(y0, y1)
@@ -548,6 +551,28 @@ def test_model_header_wrong_types_are_corrupt(tmp_path, edit):
     bad.write_bytes(_with_header(path.read_bytes(), edit))
     with pytest.raises(CorruptFile):
         load_model(bad)
+    with pytest.raises(CorruptFile):
+        read_model_header(bad)
+
+
+def test_read_model_header_reads_only_the_header(tmp_path):
+    rng = np.random.default_rng(56)
+    model = random_model(rng, (3, 5, 2), keep_prob=0.7, weight_decay=1e-4)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    header = read_model_header(path)
+    assert {k: header[k] for k in ("layer_dims", "keep_prob", "weight_decay", "seed")} == {
+        "layer_dims": [3, 5, 2], "keep_prob": 0.7, "weight_decay": 1e-4, "seed": model.seed}
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    path.write_bytes(raw[:12 + hlen])  # no parameters: load_model refuses it, the header reads
+    with pytest.raises(CorruptFile):
+        load_model(path)
+    assert read_model_header(path) == header
+    for cut in (0, 7, 12 + hlen - 1):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CorruptFile):
+            read_model_header(path)
 
 
 def test_init_model_reproducible():

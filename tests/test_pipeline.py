@@ -1,6 +1,7 @@
 """Config plumbing, mu resolution, report helpers, the package export
 table, which work each report verb does, the one model both single
-policies read, and enhance's output geometry."""
+policies read, enhance's output geometry, the sweep summaries the report
+verbs share, and the bank step of train."""
 
 import hashlib
 import json
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mcenhance
 from conftest import MINI, random_model
-from mcenhance import corpus, mcdrop, metrics, neural, pipeline, selection
+from mcenhance import corpus, mcdrop, metrics, neural, pipeline, selection, summary
 from mcenhance.corpus import (
     NOISE_PRESETS,
     SEEN_NOISES,
@@ -24,7 +27,7 @@ from mcenhance.corpus import (
     open_dataset,
 )
 from mcenhance.dsp import FrameConfig, Signal, read_wav, write_wav
-from mcenhance.errors import InvalidConfig, MissingModels
+from mcenhance.errors import CorruptFile, InvalidConfig, MissingModels, VersionMismatch
 from mcenhance.mcdrop import McConfig
 from mcenhance.neural import forward, load_model
 from mcenhance.pipeline import (
@@ -426,3 +429,194 @@ def test_enhance_mu_mc_takes_mu_star_when_no_mu_is_given(mini_system, tmp_path):
     resolved = enhance("resolved", None)
     assert resolved == enhance("explicit", 1e9)
     assert resolved[1] != enhance("config", cfg.mu)[1]
+
+
+# ------------------------------------------------------ sweep summaries
+
+REPORTS = ("correlation.csv", "scatter.csv", "sweep.csv")
+
+
+def _report_bytes(reports_dir) -> dict:
+    return {name: (Path(reports_dir) / name).read_bytes() for name in REPORTS}
+
+
+@pytest.fixture(scope="module")
+def swept_reports(mini_system, tmp_path_factory):
+    """The report chain with no summary on disk when correlate and sweep
+    run (evaluate reads only the class policies), so both sweep: the bytes
+    every summary hit must reproduce."""
+    reports = tmp_path_factory.mktemp("miss_reports")
+    cfg = replace(mini_system, reports_dir=str(reports))
+    run_evaluate(replace(cfg, policies=["class-conv", "class-mc"]))
+    assert not (reports / "sweeps").exists()
+    run_correlate(cfg)
+    run_sweep(cfg, "test")
+    return _report_bytes(reports)
+
+
+def test_summary_hit_equals_miss(mini_system, tmp_path, monkeypatch, swept_reports):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    run_sweep(cfg, "val")
+    run_evaluate(cfg)
+    assert (tmp_path / "sweeps" / "test.mcss").exists()
+    sweeps = _record_sweeps(monkeypatch)
+    run_correlate(cfg)
+    run_sweep(cfg, "test")
+    assert sweeps == {}  # both read evaluate's summary
+    hit = _report_bytes(tmp_path)
+    assert hit == swept_reports
+
+    shutil.rmtree(tmp_path / "sweeps")
+    run_correlate(cfg)
+    run_sweep(cfg, "test")
+    assert sweeps  # a miss sweeps
+    assert _report_bytes(tmp_path) == hit
+    assert (tmp_path / "sweeps" / "test.mcss").exists()  # published by sweep
+
+
+def test_sweep_summary_serves_another_mu_grid(mini_system, tmp_path, monkeypatch):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    run_sweep(cfg, "val")
+    fresh = replace(cfg, mu_grid=(0.0, 2.0, 1e9), reports_dir=str(tmp_path / "fresh"))
+    expected, _ = run_sweep(fresh, "val")
+    sweeps = _record_sweeps(monkeypatch)
+    assert run_sweep(replace(cfg, mu_grid=fresh.mu_grid), "val")[0] == expected
+    assert sweeps == {}
+
+
+def test_class_policies_alone_write_no_summary(mini_system, tmp_path, swept_reports):
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    run_evaluate(replace(cfg, policies=["class-conv", "class-mc"]))
+    assert not (tmp_path / "sweeps").exists()
+    run_correlate(cfg)
+    run_sweep(cfg, "test")
+    assert _report_bytes(tmp_path) == swept_reports
+
+
+def _with_changed_sample(path: Path) -> None:
+    signal = read_wav(path)
+    signal.samples[100] += 1 / 32768
+    write_wav(path, signal)
+
+
+def _bumped_model(path: Path) -> None:
+    model = load_model(path)
+    model.biases[-1][0] += 1e-3
+    neural.save_model(model, path)
+
+
+@pytest.mark.parametrize("part", ["expert-file", "classifier-file", "n_passes",
+                                  "rng_seed", "frame-config", "noisy-wav"])
+def test_summary_key_part_change_is_a_miss(mini_system, tmp_path, part):
+    cfg = replace(mini_system, reports_dir=str(tmp_path / "reports"),
+                  models_dir=str(tmp_path / "models"), corpus_dir=str(tmp_path / "corpus"))
+    shutil.copytree(mini_system.models_dir, cfg.models_dir)
+    shutil.copytree(mini_system.corpus_dir, cfg.corpus_dir)
+    run_sweep(cfg, "test")
+
+    def hit(manifest=None, mc=None) -> bool:
+        _, rows = pipeline._load_split_summary(
+            cfg, manifest or open_dataset(cfg.corpus_dir), "test",
+            load_bank(cfg.models_dir), mc or pipeline._mc_cfg(cfg))
+        return rows is not None
+
+    assert hit()
+    mc, manifest = pipeline._mc_cfg(cfg), open_dataset(cfg.corpus_dir)
+    if part == "expert-file":
+        _bumped_model(sorted(Path(cfg.models_dir).glob("expert_*.model"))[-1])
+    elif part == "classifier-file":
+        _bumped_model(Path(cfg.models_dir) / "classifier.model")
+    elif part == "n_passes":
+        mc = replace(mc, n_passes=mc.n_passes + 1)
+    elif part == "rng_seed":
+        mc = replace(mc, rng_seed=mc.rng_seed + 1)
+    elif part == "frame-config":
+        manifest = replace(manifest, frame=FrameConfig(hop_samples=128))
+    else:
+        e = entries_for(manifest, "test")[-1]
+        _with_changed_sample(corpus.entry_dir(cfg.corpus_dir, e) / "noisy.wav")
+    assert not hit(manifest, mc)
+
+
+def test_summary_round_trip_is_exact(tmp_path):
+    rows = _summary_rows()
+    key = hashlib.sha256(b"k").digest()
+    path = tmp_path / "sweeps" / "s.mcss"
+    summary.write_summary(path, key, 2, rows)
+    found, read = summary.read_summary(path)
+    assert found == key
+    _assert_rows_equal(read, rows)
+    assert summary.load_summary(path, key) is not None
+    assert summary.load_summary(path, hashlib.sha256(b"other").digest()) is None
+    assert summary.load_summary(tmp_path / "missing.mcss", key) is None
+
+
+def test_summary_key_needs_the_bank_files(mini_system):
+    bank = load_bank(mini_system.models_dir)
+    manifest = open_dataset(mini_system.corpus_dir)
+    mc = pipeline._mc_cfg(mini_system)
+    assert len(summary.summary_key(bank, mc, manifest, mini_system.corpus_dir, "test")) == 32
+    with pytest.raises(ValueError):
+        summary.summary_key(replace(bank, files=[]), mc, manifest, mini_system.corpus_dir, "test")
+
+
+def _summary_rows() -> list:
+    rng = np.random.default_rng(61)
+    return [(rng.standard_normal((2, n)), rng.uniform(size=(2, n)), rng.uniform(size=(n, 2)))
+            for n in (3, 0, 5)]
+
+
+def _assert_rows_equal(got, expected) -> None:
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for x, y in zip(a, b):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.fixture(scope="module")
+def summary_bytes(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("summary") / "s.mcss"
+    summary.write_summary(path, hashlib.sha256(b"k").digest(), 2, _summary_rows())
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_summary_reader_is_total(summary_bytes, tmp_path_factory, data):
+    """Any truncation or single-byte flip raises a typed error or reads
+    back the written arrays, never anything else."""
+    n = len(summary_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        bad = summary_bytes[:data.draw(st.integers(0, n - 1), label="length")]
+    else:
+        i = data.draw(st.integers(0, n - 1), label="index")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        bad = summary_bytes[:i] + bytes([summary_bytes[i] ^ flip]) + summary_bytes[i + 1:]
+    path = tmp_path_factory.getbasetemp() / "mutated.mcss"
+    path.write_bytes(bad)
+    try:
+        _, rows = summary.read_summary(path)
+    except (CorruptFile, VersionMismatch):
+        return
+    _assert_rows_equal(rows, _summary_rows())
+
+
+def test_train_classifier_and_per_noise_reload_no_model(mini_system, tmp_path, monkeypatch):
+    loaded = []
+
+    def counted(path, *args, **kwargs):
+        loaded.append(Path(path).name)
+        return neural.load_model(path, *args, **kwargs)
+
+    for module in (pipeline, selection):
+        monkeypatch.setattr(module, "load_model", counted)
+    models = tmp_path / "models"
+    shutil.copytree(mini_system.models_dir, models)
+    cfg = replace(mini_system, models_dir=str(models), reports_dir=str(tmp_path / "reports"))
+    for scope in ("classifier", "per-noise"):
+        (models / "bank.json").unlink()
+        pipeline.run_train(cfg, scope)
+        assert loaded == []
+        # The same bank.json `train all` wrote for the same config.
+        assert (models / "bank.json").read_bytes() == \
+            (Path(mini_system.models_dir) / "bank.json").read_bytes()

@@ -152,9 +152,9 @@ def test_validate_bank_errors():
 def per_frame_select(bank, policy, mc, mag, i):
     """Per-frame reference for select_frames: frame i on its own, its
     masks pinned to row i, routed by the policy's rule."""
-    x = mag[i]
-    posteriors, _ = forward(bank.classifier, x)
-    stats = [materialised_stats(m, x[None], mc_for_model(m, mc), row_offset=i)
+    x = mag[i:i + 1]
+    posteriors = forward(bank.classifier, x)[0][0]
+    stats = [materialised_stats(m, x, mc_for_model(m, mc), row_offset=i)
              for m in bank.models]
     traces = np.array([trace[0] for _, _, trace in stats])
     if policy.kind is PolicyKind.VAR_MC or (
@@ -163,7 +163,7 @@ def per_frame_select(bank, policy, mc, mag, i):
     else:
         chosen, route = int(np.argmax(posteriors)), "classifier"
     if policy.kind is PolicyKind.CLASSIFIER_CONV:
-        out, _ = forward(bank.models[chosen], x)
+        out = forward(bank.models[chosen], x)[0][0]
     else:
         out = stats[chosen][0][0]
     return chosen, route, traces, posteriors, out
