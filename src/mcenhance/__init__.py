@@ -16,7 +16,6 @@ _EXPORTS = {
     "read_wav": "dsp",
     "write_wav": "dsp",
     "DropoutStream": "neural",
-    "MaskMemo": "neural",
     "MlpModel": "neural",
     "TrainConfig": "neural",
     "forward": "neural",

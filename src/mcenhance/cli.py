@@ -119,7 +119,7 @@ def main(argv=None) -> int:
             overrides.update(n_epochs=args.epochs)
         if args.verb == "evaluate" and args.policies is not None:
             overrides["policies"] = args.policies.split(",")
-        if args.verb == "sweep" and args.mu_grid:
+        if args.verb == "sweep" and args.mu_grid is not None:
             try:
                 overrides["mu_grid"] = [float(tok) for tok in args.mu_grid.split(",")]
             except ValueError as exc:

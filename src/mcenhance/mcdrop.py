@@ -1,8 +1,8 @@
 """Monte Carlo dropout inference: stochastic forward passes over an
 utterance, reduced to the predictive mean and the diagonal predictive
 variance per frame. The sweep runs its own pass loop over buffers
-allocated once per sweep. Sweeps over one utterance can share one
-MaskMemo, so each dropout mask is drawn once however many models read
+allocated once per sweep, and reads its dropout masks from the process's
+kept-bits table, so each mask row is drawn once however many sweeps read
 it."""
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .neural import (
-    DropoutStream, MaskMemo, MlpModel, dropout_mask, forward, input_layer, is_int, softmax,
-)
+from .neural import MlpModel, forward, input_layer, is_int, kept_bits, softmax
 
 
 @dataclass
@@ -91,15 +89,7 @@ def _check_tau(model: MlpModel, cfg: McConfig) -> None:
                 f"tau_inv must be {expected}, got {cfg.tau_inv}")
 
 
-def _drawn_kept_bits(stream, layer_index, n_rows, width, keep_prob) -> np.ndarray:
-    """A fresh mask's kept units, as MaskMemo serves them."""
-    return dropout_mask(stream, layer_index, n_rows, width, keep_prob) != 0
-
-
-def mc_spectral_stats(
-    model: MlpModel, mag_frames: np.ndarray, cfg: McConfig, *,
-    mask_memo: MaskMemo | None = None,
-) -> McSweep:
+def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) -> McSweep:
     """MC sweep over all frames of an utterance at once.
 
     Bit-identical to stacking all passes of forward and reducing them,
@@ -115,10 +105,10 @@ def mc_spectral_stats(
     accumulate in place as passes arrive, so memory is O(frames x bins)
     whatever the pass count.
 
-    mask_memo, shared by the sweeps over one utterance, draws each
-    (pass, layer) mask once and serves its kept bits to every later
-    sweep with the same seed, width and keep probability; the result is
-    byte-identical to a sweep without it.
+    Frame k of pass t takes row k of the (cfg.rng_seed, t) stream's
+    masks, read as kept bits from neural's process-wide table: a row
+    is drawn the first time any sweep needs it and served to every later
+    sweep with the same seed, width and keep probability.
     """
     _check_tau(model, cfg)
     mag_frames = np.asarray(mag_frames, dtype=np.float64)
@@ -133,21 +123,19 @@ def mc_spectral_stats(
         return McSweep(means=y, variances=variances, traces=variances.sum(axis=1))
 
     h0 = input_layer(model, mag_frames)
-    draw = _drawn_kept_bits if mask_memo is None else mask_memo
     n, p = len(h0), model.keep_prob
     scale = 1.0 / p
     hidden = [np.empty((n, w)) for w in model.layer_dims[1:-1]]
     out = np.empty((n, model.out_dim))
     relu_out = model.output_activation == "relu"
     for t in range(cfg.n_passes):
-        stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=0)
         h = h0
         for l, m in enumerate(hidden):
             if l:
                 np.matmul(h, model.weights[l].T, out=m)
                 m += model.biases[l]
                 h = np.maximum(m, 0.0, out=m)
-            np.multiply(h, draw(stream, l, n, m.shape[1], p), out=m)
+            np.multiply(h, kept_bits(cfg.rng_seed, t, l, n, m.shape[1], p), out=m)
             m *= scale
             h = m
         np.matmul(h, model.weights[-1].T, out=out)

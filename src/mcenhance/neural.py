@@ -203,30 +203,49 @@ def dropout_mask(
     return (u < keep_prob).astype(np.float64) / keep_prob
 
 
-class MaskMemo:
-    """Kept-unit bits of dropout masks, drawn once and kept packed, one
-    bit per unit.
+class _KeptBitsTable:
+    """Kept-unit bits of MC dropout masks, packed one bit per unit, one
+    row per frame, keyed by (pass, layer, width, keep_prob) under one seed.
 
-    A mask depends only on its dropout_mask arguments, never on the
-    weights, so models that share a seed, a frame count, a width and a
-    keep probability can share their masks. A miss draws through
-    dropout_mask; every call returns the bool array mask != 0, a hit
-    unpacked from the kept bits. Scaling the survivors by 1/keep_prob is
-    left to the caller (mc_spectral_stats).
+    A mask row depends only on its dropout_mask arguments, never on the
+    weights or the audio, so every sweep in the process reads the same
+    rows: a request for rows [0, n) slices what the table holds and draws
+    only the rows [R, n) it lacks. A request under another seed empties
+    the table first, so it holds at most the masks of the longest
+    utterance swept under the current seed. Not thread-safe.
     """
 
     def __init__(self):
-        self._bits = {}
+        self.seed = None
+        self.rows = {}
 
-    def __call__(self, stream: DropoutStream, layer_index: int, n_rows: int,
-                 width: int, keep_prob: float) -> np.ndarray:
-        key = (stream, layer_index, n_rows, width, keep_prob)
-        bits = self._bits.get(key)
-        if bits is None:
-            kept = dropout_mask(stream, layer_index, n_rows, width, keep_prob) != 0
-            self._bits[key] = np.packbits(kept)
-            return kept
-        return np.unpackbits(bits, count=n_rows * width).reshape(n_rows, width).view(bool)
+    def kept(self, seed: int, pass_index: int, layer_index: int, n_rows: int,
+             width: int, keep_prob: float) -> np.ndarray:
+        """Bool [n_rows, width]: dropout_mask(DropoutStream(seed,
+        pass_index), layer_index, n_rows, width, keep_prob) != 0."""
+        if seed != self.seed:
+            self.seed, self.rows = seed, {}
+        key = (pass_index, layer_index, width, keep_prob)
+        packed = self.rows.get(key)
+        held = 0 if packed is None else len(packed)
+        if held < n_rows:
+            stream = DropoutStream(seed, pass_index, row_offset=held)
+            drawn = dropout_mask(stream, layer_index, n_rows - held, width, keep_prob) != 0
+            drawn = np.packbits(drawn, axis=1)
+            packed = drawn if packed is None else np.concatenate((packed, drawn))
+            self.rows[key] = packed
+        return np.unpackbits(packed[:n_rows], axis=1, count=width).view(bool)
+
+
+# The process's one mask store; mc_spectral_stats reads every mask from it.
+_KEPT_BITS = _KeptBitsTable()
+
+
+def kept_bits(seed: int, pass_index: int, layer_index: int, n_rows: int,
+              width: int, keep_prob: float) -> np.ndarray:
+    """Kept units of MC pass pass_index's layer_index mask over frame rows
+    [0, n_rows), served from the process's table (see _KeptBitsTable)."""
+    return _KEPT_BITS.kept(seed, pass_index, layer_index, n_rows, width, keep_prob)
 
 
 def _input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:

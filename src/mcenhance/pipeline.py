@@ -346,13 +346,12 @@ class PolicyModels:
         """Enhanced magnitude frames under one policy, and the bank's
         decisions (None for the single-model policies). Bank policies route
         over `outputs`, this utterance's BankOutputs, made here if absent;
-        single-mc reads the dropout masks `outputs` keeps, when given."""
+        the single policies ignore it."""
         if name == "single-conv":
             return forward(self.single, mag)[0], None
         if name == "single-mc":
-            memo = outputs.mask_memo if outputs else None
-            return mc_spectral_stats(self.single, mag, mc_for_model(self.single, self.mc),
-                                     mask_memo=memo).means, None
+            return mc_spectral_stats(self.single, mag,
+                                     mc_for_model(self.single, self.mc)).means, None
         outputs = outputs or BankOutputs(self.bank, mag, self.mc)
         return select_frames(outputs, SelectionPolicy(PolicyKind(name), mu=self.mu))
 

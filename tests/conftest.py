@@ -3,6 +3,7 @@ dataset and model set so integration tests don't retrain per test."""
 
 import pytest
 
+from mcenhance import neural
 from mcenhance.neural import MlpModel
 from mcenhance.pipeline import ExperimentConfig, run_synth, run_train
 
@@ -47,6 +48,43 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def empty_mask_table(monkeypatch) -> None:
+    """Give the process an empty kept-bits table until the test ends."""
+    monkeypatch.setattr(neural, "_KEPT_BITS", neural._KeptBitsTable())
+
+
+@pytest.fixture(autouse=True)
+def empty_kept_bits_table(monkeypatch):
+    """Each test starts with an empty mask table, so no draw count
+    depends on which tests ran before it."""
+    empty_mask_table(monkeypatch)
+
+
+def record_mask_draws(monkeypatch) -> list:
+    """Every dropout_mask call from here on, as its argument tuple."""
+    draws = []
+    original = neural.dropout_mask
+
+    def counted(*args):
+        draws.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(neural, "dropout_mask", counted)
+    return draws
+
+
+def rows_drawn(draws) -> dict:
+    """Mask rows drawn per (seed, pass, layer, width, keep_prob). Each
+    draw must start where its key's rows stopped, so the sum is also the
+    highest row drawn and no row is drawn twice."""
+    rows = {}
+    for stream, layer, n_rows, width, keep_prob in draws:
+        key = (stream.seed, stream.pass_index, layer, width, keep_prob)
+        assert stream.row_offset == rows.get(key, 0), (key, stream.row_offset)
+        rows[key] = rows.get(key, 0) + n_rows
+    return rows
 
 
 @pytest.fixture(scope="session")

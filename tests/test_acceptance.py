@@ -15,8 +15,9 @@ import pytest
 
 from mcenhance.corpus import mix_at_snr, noise_spec, synth_noise, synth_speech
 from mcenhance.dsp import FrameConfig, Signal, istft_overlap_add, read_wav, stft, write_wav
-from mcenhance.mcdrop import DropoutStream, McConfig, mc_spectral_stats
+from mcenhance.mcdrop import McConfig, mc_spectral_stats
 from mcenhance.neural import (
+    DropoutStream,
     backward,
     cross_entropy_grad,
     cross_entropy_loss,

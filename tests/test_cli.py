@@ -103,6 +103,18 @@ def test_non_numeric_mu_grid_exits_2(tmp_path, capsys):
     assert "--mu-grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--mu-grid", ""], ["--mu-grid="]])
+def test_empty_mu_grid_exits_2_before_any_work(tmp_path, capsys, flag):
+    # An empty grid is an override like any other, not an absent one: it
+    # must not fall back to the config's grid and run the verb.
+    rc = main(["sweep", "--corpus-dir", str(tmp_path / "corpus"),
+               "--reports-dir", str(tmp_path / "reports"), *flag])
+    err = capsys.readouterr().err
+    assert rc == 2 and "--mu-grid" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("key, value", [
     ("models_dir", 5),
     ("seed", "s"),

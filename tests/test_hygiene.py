@@ -69,6 +69,15 @@ def test_one_module_writes_through_a_tmp_file():
     assert modules == ["dsp.py"]
 
 
+def test_one_module_draws_dropout_masks():
+    """dropout_mask is named only in neural.py, by the kept-bits table
+    that every MC sweep reads and by forward's training pass, so MC masks
+    have one owner."""
+    modules = [path.name for path in sorted((ROOT / "src" / "mcenhance").glob("*.py"))
+               if "dropout_mask" in path.read_text()]
+    assert modules == ["neural.py"]
+
+
 def test_one_module_owns_the_sweep_summary_format():
     """The summary's magic and suffix live in summary.py alone, so its
     writer, reader and key stay behind one owner."""

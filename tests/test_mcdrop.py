@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import empty_mask_table, random_model, record_mask_draws, rows_drawn
+from mcenhance import neural
 from mcenhance.errors import InvalidConfig, NonFiniteInput
 from mcenhance.mcdrop import (
     McConfig,
@@ -11,7 +12,7 @@ from mcenhance.mcdrop import (
     mc_spectral_stats,
     tau_inverse,
 )
-from mcenhance.neural import DropoutStream, MaskMemo, forward
+from mcenhance.neural import DropoutStream, forward
 
 
 def materialised_stats(model, mag, cfg, row_offset=0):
@@ -250,25 +251,70 @@ def test_sweep_allocates_its_pass_buffers_once():
     assert peak < 14 * n * width * 8
 
 
-def test_mask_memo_keeps_one_bit_per_unit():
-    # Packed, a T = 50 sweep's masks are T*L*ceil(n*w/8) bytes; as float64
-    # they would be 64 times that, as bool 8 times. The rest is the keys
-    # and array headers, about 300 bytes a mask.
+def test_kept_bits_table_keeps_one_bit_per_unit():
+    # Packed, a T = 50 sweep's masks are T*n*sum(ceil(w/8)) bytes; as
+    # float64 they would be 64 times that, as bool 8 times. The rest is the
+    # keys and array headers, about 300 bytes a mask.
     rng = np.random.default_rng(26)
     model = random_model(rng, (40, 64, 48, 64, 40), keep_prob=0.8)
     n, T = 400, 50
     mag = rng.uniform(0.0, 2.0, size=(n, 40))
-    packed = T * sum(-(-n * w // 8) for w in (64, 48, 64))
-    memo = MaskMemo()
+    packed = T * n * sum(-(-w // 8) for w in (64, 48, 64))
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        sweep = mc_spectral_stats(model, mag, McConfig(n_passes=T), mask_memo=memo)
+        sweep = mc_spectral_stats(model, mag, McConfig(n_passes=T))
         del sweep
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert packed <= held - before < 1.5 * packed
+
+
+def _table_bytes() -> dict:
+    """Bytes the kept-bits table holds per (width, keep_prob)."""
+    held = {}
+    for (_, _, width, keep_prob), packed in neural._KEPT_BITS.rows.items():
+        held[width, keep_prob] = held.get((width, keep_prob), 0) + packed.nbytes
+    return held
+
+
+def test_kept_bits_table_holds_the_longest_sweep_only():
+    # Widths 13 and 20 are not multiples of 8: a row takes 2 and 3 bytes.
+    rng = np.random.default_rng(27)
+    models = [random_model(rng, (10, 13, 13, 20, 10), keep_prob=0.8),
+              random_model(rng, (10, 13, 10), keep_prob=0.6)]
+    T = 5
+    for n in (97, 197, 49):
+        mag = rng.uniform(0.0, 2.0, size=(n, 10))
+        for model in models:
+            mc_spectral_stats(model, mag, McConfig(n_passes=T, rng_seed=3))
+    assert _table_bytes() == {(13, 0.8): T * 2 * 197 * 2, (20, 0.8): T * 1 * 197 * 3,
+                              (13, 0.6): T * 1 * 197 * 2}
+    assert {packed.shape[0] for packed in neural._KEPT_BITS.rows.values()} == {197}
+
+
+def test_a_sweep_under_another_seed_empties_the_table(monkeypatch):
+    rng = np.random.default_rng(28)
+    model = random_model(rng, (6, 11, 11, 6), keep_prob=0.7)
+    short, long = (rng.uniform(0.0, 2.0, size=(n, 6)) for n in (5, 9))
+    cold = {}
+    for seed in (1, 2):
+        empty_mask_table(monkeypatch)
+        cold[seed] = mc_spectral_stats(model, short, McConfig(n_passes=3, rng_seed=seed))
+
+    empty_mask_table(monkeypatch)
+    mc_spectral_stats(model, long, McConfig(n_passes=3, rng_seed=1))
+    draws = record_mask_draws(monkeypatch)
+    for seed in (2, 1):
+        sweep = mc_spectral_stats(model, short, McConfig(n_passes=3, rng_seed=seed))
+        np.testing.assert_array_equal(sweep.means, cold[seed].means)
+        np.testing.assert_array_equal(sweep.variances, cold[seed].variances)
+        assert neural._KEPT_BITS.seed == seed
+        assert {packed.shape[0] for packed in neural._KEPT_BITS.rows.values()} == {5}
+    # Seed 1's 9 rows went with seed 2's sweep, so seed 1 drew its 5 again.
+    assert rows_drawn(draws) == {(seed, t, l, 11, 0.7): 5
+                                 for seed in (1, 2) for t in range(3) for l in range(2)}
 
 
 def test_sweep_rejects_non_finite_frames():

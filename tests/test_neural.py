@@ -3,8 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_model
+from conftest import random_model, record_mask_draws, rows_drawn
 from mcenhance import dsp, neural
 from mcenhance.corpus import write_cache
 from mcenhance.dsp import Signal, write_wav
@@ -23,7 +25,6 @@ from mcenhance.errors import (
 from mcenhance.neural import (
     AdamState,
     DropoutStream,
-    MaskMemo,
     MlpModel,
     TrainConfig,
     adam_step,
@@ -35,6 +36,7 @@ from mcenhance.neural import (
     init_adam_state,
     init_model,
     input_layer,
+    kept_bits,
     load_model,
     msle_grad,
     msle_loss,
@@ -279,25 +281,37 @@ def test_dropout_stream_refuses_what_is_no_stream_address(field, value):
         DropoutStream(**{"seed": 0, field: value})
 
 
-def test_mask_memo_draws_each_mask_once_and_serves_its_kept_bits(monkeypatch):
-    draws = []
-    original = neural.dropout_mask
-
-    def counted(*args):
-        draws.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(neural, "dropout_mask", counted)
-    memo = MaskMemo()
-    calls = [(DropoutStream(seed=5, pass_index=t, row_offset=r), l, n, w, p)
-             for t in (0, 1) for r in (0, 3) for l in (0, 2)
-             for n, w, p in ((7, 13, 0.8), (7, 13, 0.6), (7, 16, 0.8), (4, 13, 0.8))]
+def test_kept_bits_table_draws_each_row_once_and_serves_its_kept_bits(monkeypatch):
+    draws = record_mask_draws(monkeypatch)
+    calls = [(t, l, n, w, p) for t in (0, 1) for l in (0, 2)
+             for n, w, p in ((7, 13, 0.8), (7, 13, 0.6), (7, 16, 0.8), (4, 13, 0.8),
+                             (9, 13, 0.8))]
     for _ in range(3):
-        for args in calls:
-            got = memo(*args)
-            assert got.dtype == bool
-            np.testing.assert_array_equal(got, original(*args) != 0)
-    assert draws == calls  # every key misses once, then always hits
+        for t, l, n, w, p in calls:
+            got = kept_bits(5, t, l, n, w, p)
+            assert got.dtype == bool and got.shape == (n, w)
+            np.testing.assert_array_equal(
+                got, dropout_mask(DropoutStream(5, t), l, n, w, p) != 0)
+    # Rows 0-6 on the first call, 7-8 when 9 are asked; then always served.
+    longest = {(13, 0.8): 9, (13, 0.6): 7, (16, 0.8): 7}
+    assert rows_drawn(draws) == {(5, t, l, w, p): n for t in (0, 1) for l in (0, 2)
+                                 for (w, p), n in longest.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       width=st.sampled_from([1, 5, 8, 13, 33]),
+       keep_prob=st.sampled_from([1 / 3, 0.5, 0.8, 0.999999]),
+       pass_index=st.integers(0, 3), layer=st.integers(0, 2))
+def test_kept_bits_table_serves_fresh_draws_bit_for_bit(
+        row_counts, width, keep_prob, pass_index, layer):
+    # Growth, shrink and repeats alike: every request equals a fresh draw.
+    table = neural._KeptBitsTable()
+    for n in row_counts:
+        np.testing.assert_array_equal(
+            table.kept(7, pass_index, layer, n, width, keep_prob),
+            dropout_mask(DropoutStream(7, pass_index), layer, n, width, keep_prob) != 0)
+    assert {len(packed) for packed in table.rows.values()} == {max(row_counts)}
 
 
 def test_dropout_mask_is_unbiased():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcenhance
-from conftest import MINI, random_model
+from conftest import MINI, empty_mask_table, random_model, record_mask_draws, rows_drawn
 from mcenhance import corpus, mcdrop, metrics, neural, pipeline, selection, summary
 from mcenhance.corpus import (
     NOISE_PRESETS,
@@ -255,18 +255,6 @@ def test_evaluate_sweeps_each_read_expert_once_per_entry(mini_system, tmp_path, 
     assert sweeps == {}
 
 
-def _count_mask_draws(monkeypatch) -> list:
-    draws = []
-    original = neural.dropout_mask
-
-    def counted(*args):
-        draws.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(neural, "dropout_mask", counted)
-    return draws
-
-
 @pytest.mark.parametrize("n_models", [1, 2, 5])
 def test_one_utterance_draws_each_mask_once_whatever_the_bank_size(monkeypatch, n_models):
     rng = np.random.default_rng(40 + n_models)
@@ -277,20 +265,67 @@ def test_one_utterance_draws_each_mask_once_whatever_the_bank_size(monkeypatch, 
         classifier=random_model(rng, (9, 10, n_models), output_activation="softmax"))
     models = PolicyModels(mc=McConfig(n_passes=7, rng_seed=5), mu=0.5,
                           single=random_model(rng, dims), bank=bank)
-    mag = rng.uniform(0.0, 2.0, size=(10, 9))
-    draws = _count_mask_draws(monkeypatch)
-    outputs = BankOutputs(bank, mag, models.mc)
-    for name in POLICY_NAMES:  # as run_evaluate routes one entry
-        models.enhance(name, mag, outputs)
-    assert len(draws) == len(set(draws)) == 7 * 3
+    draws = record_mask_draws(monkeypatch)
+    for n in (10, 6):  # the shorter utterance reads rows the first one drew
+        mag = rng.uniform(0.0, 2.0, size=(n, 9))
+        outputs = BankOutputs(bank, mag, models.mc)
+        for name in POLICY_NAMES:  # as run_evaluate routes one entry
+            models.enhance(name, mag, outputs)
+    assert rows_drawn(draws) == {(5, t, l, 12, 0.8): 10 for t in range(7) for l in range(3)}
+    assert len(draws) == 7 * 3
 
 
 def test_evaluate_draws_each_mask_once_per_entry(mini_system, tmp_path, monkeypatch):
     cfg = replace(mini_system, reports_dir=str(tmp_path))
-    n_entries = len(entries_for(open_dataset(cfg.corpus_dir), "test"))
-    draws = _count_mask_draws(monkeypatch)
+    sweeps = _record_sweeps(monkeypatch)
+    draws = record_mask_draws(monkeypatch)
     run_evaluate(cfg)  # single-mc plus every expert on every entry
-    assert len(draws) == n_entries * cfg.n_passes * len(cfg.hidden_dims)
+    longest = max(len(frames) for frames, _ in sweeps.values())
+    widths = list(enumerate(cfg.hidden_dims))
+    seed = pipeline._mc_cfg(cfg).rng_seed
+    assert rows_drawn(draws) == {(seed, t, l, w, cfg.keep_prob): longest
+                                 for t in range(cfg.n_passes) for l, w in widths}
+    n_drawn = len(draws)
+    run_evaluate(replace(cfg, reports_dir=str(tmp_path / "again")))
+    assert len(draws) == n_drawn  # a second pass over the split draws nothing
+
+
+def test_train_leaves_the_mask_table_empty(mini_system, tmp_path, monkeypatch):
+    draws = record_mask_draws(monkeypatch)
+    pipeline.run_train(replace(mini_system, models_dir=str(tmp_path)), "all")
+    assert draws  # training drew its own masks, outside the table
+    assert neural._KEPT_BITS.rows == {} and neural._KEPT_BITS.seed is None
+
+
+def _tree_bytes(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_warm_mask_table_writes_what_a_cold_one_writes(mini_system, tmp_path, monkeypatch):
+    # Evaluate's 1 s entries warm the table; enhance then reads a shorter,
+    # an equal and a longer input through it.
+    e = entries_for(open_dataset(mini_system.corpus_dir), "test")[0]
+    inputs = [tmp_path / "short.wav", Path(f"{mini_system.corpus_dir}/test/{entry_id(e)}/noisy.wav"),
+              tmp_path / "long.wav"]
+    rng = np.random.default_rng(44)
+    for path, n in ((inputs[0], 8000), (inputs[2], 24000)):
+        write_wav(path, Signal(0.05 * rng.standard_normal(n), 16000))
+
+    def run(out: Path, cold: bool) -> dict:
+        empty_mask_table(monkeypatch)
+        run_evaluate(replace(mini_system, reports_dir=str(out)))
+        for i, src in enumerate(inputs):
+            for policy in POLICY_NAMES:
+                if cold:
+                    empty_mask_table(monkeypatch)
+                run_enhance(replace(mini_system, reports_dir=str(out)), policy, src,
+                            out / f"{i}-{policy}.wav")
+        return _tree_bytes(out)
+
+    cold = run(tmp_path / "cold", cold=True)
+    assert len(cold) > 3 * len(POLICY_NAMES)
+    assert run(tmp_path / "warm", cold=False) == cold
 
 
 def test_sweep_runs_every_expert_and_one_classifier_forward_per_entry(

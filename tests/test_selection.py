@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import random_model
-from mcenhance import neural, selection
+from conftest import empty_mask_table, random_model, record_mask_draws, rows_drawn
+from mcenhance import selection
 from mcenhance.errors import (
     DimensionMismatch,
     EmptyBank,
@@ -229,8 +229,9 @@ def test_sweep_bank_shapes():
 
 def test_shared_masks_leave_every_sweep_byte_identical(monkeypatch):
     # Experts that differ in keep_prob, width, depth and precision term
-    # share only the masks whose every dropout_mask argument matches;
-    # the rest miss and draw their own.
+    # share only the mask rows whose every dropout_mask argument matches;
+    # the rest miss and draw their own. Utterances served later in the
+    # process draw only the rows no earlier one needed.
     rng = np.random.default_rng(17)
     shapes = [((9, 12, 12, 9), 0.7, 0.0), ((9, 12, 12, 9), 0.7, 1e-3),
               ((9, 16, 12, 9), 0.7, 0.0), ((9, 12, 12, 9), 0.8, 0.0),
@@ -238,25 +239,29 @@ def test_shared_masks_leave_every_sweep_byte_identical(monkeypatch):
     models = [random_model(rng, dims, keep_prob=p, weight_decay=wd)
               for dims, p, wd in shapes]
     bank = ModelBank(models=models, labels=[f"noise_{j}" for j in range(5)])
-    mag = rng.uniform(0.0, 2.0, size=(11, 9))
     mc = McConfig(n_passes=6, rng_seed=2)
-    alone = [mc_spectral_stats(m, mag, mc_for_model(m, mc)) for m in models]
+    utterances = [rng.uniform(0.0, 2.0, size=(n, 9)) for n in (11, 7, 15, 11)]
+    alone = []
+    for mag in utterances:
+        row = []
+        for m in models:
+            empty_mask_table(monkeypatch)
+            row.append(mc_spectral_stats(m, mag, mc_for_model(m, mc)))
+        alone.append(row)
 
-    draws = []
-    original = neural.dropout_mask
-
-    def counted(*args):
-        draws.append(args[1:])
-        return original(*args)
-
-    monkeypatch.setattr(neural, "dropout_mask", counted)
-    outputs = BankOutputs(bank, mag, mc)
-    for j in (4, 2, 0, 3, 1):
-        means, traces = outputs.mc_stats(j)
-        np.testing.assert_array_equal(means, alone[j].means)
-        np.testing.assert_array_equal(traces, alone[j].traces)
+    empty_mask_table(monkeypatch)
+    draws = record_mask_draws(monkeypatch)
+    for mag, expected in zip(utterances, alone):
+        outputs = BankOutputs(bank, mag, mc)
+        for j in (4, 2, 0, 3, 1):
+            means, traces = outputs.mc_stats(j)
+            np.testing.assert_array_equal(means, expected[j].means)
+            np.testing.assert_array_equal(traces, expected[j].traces)
     # (layer, width, keep): (0,12,.7) (1,12,.7) (0,16,.7) (0,12,.8) (1,12,.8)
-    assert len(draws) == 5 * mc.n_passes == len(set(draws)) * mc.n_passes
+    keys = [(0, 12, 0.7), (1, 12, 0.7), (0, 16, 0.7), (0, 12, 0.8), (1, 12, 0.8)]
+    assert rows_drawn(draws) == {(2, t, *key): 15 for t in range(mc.n_passes) for key in keys}
+    # The 11 rows, then the 4 the 15-row utterance added; the 7-row one drew none.
+    assert len(draws) == 2 * len(keys) * mc.n_passes
 
 
 def test_bank_save_load_roundtrip(tmp_path):
