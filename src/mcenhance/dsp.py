@@ -200,6 +200,8 @@ def read_wav(path) -> Signal:
         raise UnsupportedFormat(f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
     if rate != 16000:
         raise UnsupportedFormat(f"{path}: expected 16000 Hz, got {rate}")
+    if len(raw) % 2:
+        raise UnsupportedFormat(f"{path}: data ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Signal(samples, rate)
 

@@ -100,8 +100,9 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     sweep. Each pass then runs the remaining layers over one activation
     buffer per hidden layer and one output buffer, all allocated once
     per sweep: GEMM into the buffer, add the bias, ReLU, and mask in
-    place as (h * kept) * (1 / keep_prob), which has the bits of h times
-    forward's float mask for every h, inf and NaN included. The moments
+    place as (h * kept) * (1 / keep_prob), the same kept bits applied
+    exactly as forward applies them, so every pass has forward's bits,
+    inf and NaN included. The moments
     accumulate in place as passes arrive, so memory is O(frames x bins)
     whatever the pass count.
 

@@ -251,6 +251,17 @@ def test_missing_input_wav_exits_3(mini_cli):
     assert rc == 3
 
 
+def test_wav_cut_mid_sample_exits_3(mini_cli, capsys):
+    cfg, flags, tmp = mini_cli
+    cut = tmp / "cut.wav"
+    cut.write_bytes(Path(_noisy_wav(cfg)).read_bytes()[:-1])
+    out = tmp / "cut_out.wav"
+    rc, err = _exit_code_and_err(capsys, ["enhance", *flags, "single-conv", str(cut), str(out)])
+    assert rc == 3
+    assert "cut.wav" in err
+    assert not out.exists()
+
+
 def test_synth_is_idempotent_and_train_single_writes(tmp_path):
     corpus = tmp_path / "corpus"
     args = ["synth", "--seed", "3", "--corpus-dir", str(corpus),

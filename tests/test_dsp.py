@@ -166,6 +166,13 @@ def test_read_wav_rejects_other_formats(tmp_path):
     with pytest.raises(UnsupportedFormat):
         read_wav(garbage)
 
+    # A 16-bit WAV cut one byte short ends mid-sample.
+    cut = tmp_path / "cut.wav"
+    write_wav(cut, Signal(np.zeros(100), 16000))
+    cut.write_bytes(cut.read_bytes()[:-1])
+    with pytest.raises(UnsupportedFormat, match="cut.wav"):
+        read_wav(cut)
+
 
 def test_write_wav_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.wav"

@@ -240,13 +240,25 @@ def test_weight_decay_shrinks_params():
     assert np.abs(model.weights[0]).sum() < w_before
 
 
+def float_mask(stream, layer, n_rows, width, keep_prob):
+    """Test oracle: the float inverted-dropout mask (u < keep_prob) /
+    keep_prob, with u from Generator.random at dropout_mask's stream
+    address. Its nonzero units must be dropout_mask's kept bits."""
+    g = np.random.Generator(neural._mask_rng(stream.seed, stream.pass_index, layer))
+    offset = stream.row_offset * width
+    g.bit_generator.advance(int(offset // 4))
+    if offset % 4:
+        g.bit_generator.random_raw(offset % 4)
+    u = g.random((n_rows, width))
+    return (u < keep_prob).astype(np.float64) / keep_prob
+
+
 def test_dropout_mask_values_and_determinism():
     s = DropoutStream(seed=5, pass_index=2)
     a = dropout_mask(s, 1, 16, 32, 0.8)
     b = dropout_mask(s, 1, 16, 32, 0.8)
     np.testing.assert_array_equal(a, b)
-    vals = np.unique(a)
-    assert set(np.round(vals, 12)) <= {0.0, round(1 / 0.8, 12)}
+    assert a.dtype == bool and a.shape == (16, 32)
     c = dropout_mask(DropoutStream(seed=5, pass_index=3), 1, 16, 32, 0.8)
     assert not np.array_equal(a, c)
     d = dropout_mask(s, 0, 16, 32, 0.8)
@@ -290,8 +302,7 @@ def test_kept_bits_table_draws_each_row_once_and_serves_its_kept_bits(monkeypatc
         for t, l, n, w, p in calls:
             got = kept_bits(5, t, l, n, w, p)
             assert got.dtype == bool and got.shape == (n, w)
-            np.testing.assert_array_equal(
-                got, dropout_mask(DropoutStream(5, t), l, n, w, p) != 0)
+            np.testing.assert_array_equal(got, dropout_mask(DropoutStream(5, t), l, n, w, p))
     # Rows 0-6 on the first call, 7-8 when 9 are asked; then always served.
     longest = {(13, 0.8): 9, (13, 0.6): 7, (16, 0.8): 7}
     assert rows_drawn(draws) == {(5, t, l, w, p): n for t in (0, 1) for l in (0, 2)
@@ -310,15 +321,87 @@ def test_kept_bits_table_serves_fresh_draws_bit_for_bit(
     for n in row_counts:
         np.testing.assert_array_equal(
             table.kept(7, pass_index, layer, n, width, keep_prob),
-            dropout_mask(DropoutStream(7, pass_index), layer, n, width, keep_prob) != 0)
+            dropout_mask(DropoutStream(7, pass_index), layer, n, width, keep_prob))
     assert {len(packed) for packed in table.rows.values()} == {max(row_counts)}
 
 
 def test_dropout_mask_is_unbiased():
-    mask = dropout_mask(DropoutStream(seed=1), 0, 200, 100, 0.8)
-    # entries are Bernoulli(p)/p: mean 1, var 1/p - 1
-    se = np.sqrt((1 / 0.8 - 1) / mask.size)
-    assert abs(mask.mean() - 1.0) < 3 * se
+    kept = dropout_mask(DropoutStream(seed=1), 0, 200, 100, 0.8)
+    # entries are Bernoulli(p): mean p, var p(1 - p)
+    se = np.sqrt(0.8 * 0.2 / kept.size)
+    assert abs(kept.mean() - 0.8) < 3 * se
+
+
+@settings(max_examples=200, deadline=None)
+@given(keep_prob=st.sampled_from([1 / 3, 0.5, 0.8, 0.999999, 1.0, 2.0 ** -30]),
+       row_offset=st.integers(0, 5),
+       offset_type=st.sampled_from([int, np.int64, np.int32, np.uint64]),
+       width=st.integers(1, 257), n_rows=st.integers(0, 40),
+       seed=st.integers(0, 3), pass_index=st.integers(0, 3), layer=st.integers(0, 2))
+def test_dropout_mask_keeps_the_float_masks_nonzero_units(
+        keep_prob, row_offset, offset_type, width, n_rows, seed, pass_index, layer):
+    stream = DropoutStream(seed, pass_index, offset_type(row_offset))
+    kept = dropout_mask(stream, layer, n_rows, width, keep_prob)
+    assert kept.dtype == bool and kept.shape == (n_rows, width)
+    np.testing.assert_array_equal(
+        kept, float_mask(stream, layer, n_rows, width, keep_prob) != 0)
+
+
+def _float_mask_step(model, X, stream, grad_y):
+    """Test oracle: forward then backward multiplying by float_mask, which
+    the kept-bits training step must match byte for byte."""
+    zs, hiddens, masks = [], [X], []
+    h = X
+    for l in range(len(model.weights) - 1):
+        z = h @ model.weights[l].T + model.biases[l]
+        zs.append(z)
+        mask = float_mask(stream, l, X.shape[0], z.shape[1], model.keep_prob)
+        masks.append(mask)
+        h = np.maximum(z, 0.0) * mask
+        hiddens.append(h)
+    z = h @ model.weights[-1].T + model.biases[-1]
+    zs.append(z)
+    y = np.maximum(z, 0.0)
+    delta = grad_y * (z > 0)
+    dweights, dbiases = [None] * len(model.weights), [None] * len(model.weights)
+    for l in range(len(model.weights) - 1, -1, -1):
+        dweights[l] = delta.T @ hiddens[l]
+        dbiases[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ model.weights[l]) * masks[l - 1]
+            delta = delta * (zs[l - 1] > 0)
+    return y, hiddens, dweights, dbiases
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+def test_training_step_has_the_float_mask_steps_bytes(overflow):
+    rng = np.random.default_rng(49)
+    model = random_model(rng, (6, 9, 9, 5), keep_prob=0.7)
+    X = rng.uniform(0.0, 1.5, size=(11, 6))
+    if overflow:
+        # Layer-0 units reach inf, or a finite value whose 1/keep_prob
+        # rescale overflows; a dropped inf unit is inf * 0 = NaN.
+        model.weights[0][::2] *= 1e308
+        model.weights[0][1::2] *= 1e306
+    grad_y = rng.standard_normal((11, 5))
+    stream = DropoutStream(seed=3, pass_index=2, row_offset=4)
+
+    with np.errstate(all="ignore"):
+        y, cache = forward(model, X, stream=stream)
+        grads = backward(model, cache, grad_y)
+        want_y, want_hiddens, want_dw, want_db = _float_mask_step(model, X, stream, grad_y)
+        _, det_cache = forward(model, X)
+
+    assert y.tobytes() == want_y.tobytes()
+    assert len(cache.hiddens) == len(want_hiddens)
+    for got, want in zip(cache.hiddens, want_hiddens):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(grads.dweights + grads.dbiases, want_dw + want_db):
+        assert got.tobytes() == want.tobytes()
+    assert [m.dtype for m in cache.masks] == [bool, bool]
+    if overflow:
+        assert np.isnan(cache.hiddens[1]).any() and np.isinf(cache.hiddens[1]).any()
+    assert det_cache.masks == [None, None]
 
 
 def test_forward_keep_prob_one_ignores_stream():
