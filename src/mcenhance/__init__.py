@@ -32,7 +32,6 @@ _EXPORTS = {
     "PolicyKind": "selection",
     "SelectionPolicy": "selection",
     "select_frames": "selection",
-    "save_bank": "selection",
     "load_bank": "selection",
     "sse": "metrics",
     "ssnr": "metrics",

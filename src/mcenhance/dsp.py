@@ -200,8 +200,11 @@ def read_wav(path) -> Signal:
         raise UnsupportedFormat(f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
     if rate != 16000:
         raise UnsupportedFormat(f"{path}: expected 16000 Hz, got {rate}")
-    if len(raw) % 2:
-        raise UnsupportedFormat(f"{path}: data ends mid-sample ({len(raw)} bytes)")
+    # wave returns what the file holds, so a data chunk that ends early (cut
+    # at or inside a sample, or a streamed file's placeholder size) is short.
+    if len(raw) != n * sampwidth:
+        raise UnsupportedFormat(
+            f"{path}: data chunk holds {len(raw)} bytes, header says {n * sampwidth}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Signal(samples, rate)
 

@@ -1,9 +1,9 @@
 """Monte Carlo dropout inference: stochastic forward passes over an
 utterance, reduced to the predictive mean and the diagonal predictive
-variance per frame. The sweep runs its own pass loop over buffers
-allocated once per sweep, and reads its dropout masks from the process's
-kept-bits table, so each mask row is drawn once however many sweeps read
-it."""
+variance per frame. The passes are neural's one inference pass with kept
+bits applied; this module checks tau, sums the moments and short-circuits
+frames whose passes all agree. Masks come from the process's kept-bits
+table, so each mask row is drawn once however many sweeps read it."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
-from .neural import MlpModel, forward, input_layer, is_int, kept_bits, softmax
+from .neural import MlpModel, inference_passes, is_int, kept_bits
 
 
 @dataclass
@@ -95,16 +95,11 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     Bit-identical to stacking all passes of forward and reducing them,
     and equal to rounding to the per-frame reference (one frame at a
     time, masks pinned by its row); both oracles live in
-    tests/test_mcdrop.py. The input checks, the z-score and layer 0's
-    affine map and ReLU come before any dropout, so they run once per
-    sweep. Each pass then runs the remaining layers over one activation
-    buffer per hidden layer and one output buffer, all allocated once
-    per sweep: GEMM into the buffer, add the bias, ReLU, and mask in
-    place as (h * kept) * (1 / keep_prob), the same kept bits applied
-    exactly as forward applies them, so every pass has forward's bits,
-    inf and NaN included. The moments
-    accumulate in place as passes arrive, so memory is O(frames x bins)
-    whatever the pass count.
+    tests/test_mcdrop.py. The passes are neural.inference_passes, whose
+    buffers are allocated once per sweep, and the moments accumulate in
+    place as passes arrive, so memory is O(frames x bins) whatever the
+    pass count. A model in which no unit can drop runs one dropout-off
+    pass: its frames all agree, so it returns that pass and tau_inv.
 
     Frame k of pass t takes row k of the (cfg.rng_seed, t) stream's
     masks, read as kept bits from neural's process-wide table: a row
@@ -117,34 +112,15 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
         raise DimensionMismatch(
             f"frames {mag_frames.shape} vs model input dim {model.in_dim}")
 
-    if model.keep_prob == 1.0 or len(model.weights) == 1:
-        # No unit is ever dropped: every pass is the deterministic pass.
-        y, _ = forward(model, mag_frames)
-        variances = np.full_like(y, cfg.tau_inv)
-        return McSweep(means=y, variances=variances, traces=variances.sum(axis=1))
-
-    h0 = input_layer(model, mag_frames)
-    n, p = len(h0), model.keep_prob
-    scale = 1.0 / p
-    hidden = [np.empty((n, w)) for w in model.layer_dims[1:-1]]
-    out = np.empty((n, model.out_dim))
-    relu_out = model.output_activation == "relu"
-    for t in range(cfg.n_passes):
-        h = h0
-        for l, m in enumerate(hidden):
-            if l:
-                np.matmul(h, model.weights[l].T, out=m)
-                m += model.biases[l]
-                h = np.maximum(m, 0.0, out=m)
-            np.multiply(h, kept_bits(cfg.rng_seed, t, l, n, m.shape[1], p), out=m)
-            m *= scale
-            h = m
-        np.matmul(h, model.weights[-1].T, out=out)
-        out += model.biases[-1]
-        y = np.maximum(out, 0.0, out=out) if relu_out else softmax(out)
+    n_passes, kept = 1, None
+    if model.keep_prob < 1.0 and len(model.weights) > 1:
+        n, p = len(mag_frames), model.keep_prob
+        n_passes = cfg.n_passes
+        kept = lambda t, l, width: kept_bits(cfg.rng_seed, t, l, n, width, p)
+    for t, y in enumerate(inference_passes(model, mag_frames, n_passes, kept)):
         if t == 0:
             total, total_sq = y.copy(), y * y
-            agree, first = np.arange(n), y.copy()
+            agree, first = np.arange(len(y)), y.copy()
             continue
         if agree.size:
             # Only frames whose passes all agreed so far can still agree.
@@ -157,10 +133,10 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     # mean(axis=0) over stacked passes adds the slices in pass order and
     # divides by T, so these running sums give the same bits.
     means = total
-    means /= cfg.n_passes
+    means /= n_passes
     variances = total_sq
-    variances /= cfg.n_passes
-    variances -= np.multiply(means, means, out=out)
+    variances /= n_passes
+    variances -= np.multiply(means, means, out=y)
     np.maximum(variances, 0.0, out=variances)
     variances += cfg.tau_inv
 

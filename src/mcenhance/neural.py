@@ -266,31 +266,63 @@ def _input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return X
 
 
-def input_layer(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """h0 = relu(X W0^T + b0) of the checked, normalised input rows X.
+def inference_passes(model: MlpModel, x: np.ndarray, n_passes: int = 1, kept=None):
+    """Yield the network's output [n, out_dim] for each of n_passes
+    passes over the rows of x: the library's one inference pass.
 
-    Dropout acts only after hidden ReLUs, so this part of a pass is the
-    same in every stochastic pass; mc_spectral_stats runs it once per
-    sweep and finishes each pass from h0.
+    kept(t, l, width) gives pass t's kept bits, bool [n, width], for
+    hidden layer l, applied as forward applies them, (h * kept) *
+    (1 / keep_prob); kept=None is the dropout-off pass. Every pass has
+    the bits of forward with the same masks, inf and NaN included, but
+    keeps no cache. Dropout acts only after hidden ReLUs, so the input
+    checks, the z-score and layer 0 run once per call; each pass writes
+    the other layers into buffers allocated once per call. A yielded
+    array may be reused by the next pass, so read it before asking for
+    the next one.
     """
-    if len(model.weights) < 2:
-        raise DimensionMismatch("model has no hidden layer")
-    X = _input_rows(model, x)
-    return relu(X @ model.weights[0].T + model.biases[0])
+    h0 = _input_rows(model, x)
+    if len(model.weights) > 1:
+        h0 = relu(h0 @ model.weights[0].T + model.biases[0])
+    n, scale = len(h0), 1.0 / model.keep_prob
+    # A dropout-off pass reads h0 itself, so layer 0 needs no buffer.
+    hidden = [np.empty((n, w)) if l or kept is not None else None
+              for l, w in enumerate(model.layer_dims[1:-1])]
+    out = np.empty((n, model.out_dim))
+    relu_out = model.output_activation == "relu"
+    for t in range(n_passes):
+        h = h0
+        for l, m in enumerate(hidden):
+            if l:
+                np.matmul(h, model.weights[l].T, out=m)
+                m += model.biases[l]
+                h = np.maximum(m, 0.0, out=m)
+            if kept is not None:
+                h = np.multiply(h, kept(t, l, m.shape[1]), out=m)
+                m *= scale
+        np.matmul(h, model.weights[-1].T, out=out)
+        out += model.biases[-1]
+        yield np.maximum(out, 0.0, out=out) if relu_out else softmax(out)
+
+
+def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The dropout-off pass: forward(model, x)[0], bit for bit, with no
+    cache."""
+    return next(inference_passes(model, x))
 
 
 def forward(
     model: MlpModel, x: np.ndarray, stream: DropoutStream | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch of row vectors [n, in_dim], keeping
-    what backward reads; the training pass and the dropout-off pass.
+    what backward reads: the training pass.
 
     stream=None is the deterministic mode (no masks, no rescaling);
     passing a DropoutStream draws each hidden layer's kept bits from
     dropout_mask and applies them as (h * kept) * (1 / keep_prob), so a
     unit is zeroed with probability 1 - keep_prob and survivors are
     scaled; ForwardCache.masks keeps the bits (None without a stream).
-    MC sweeps run their passes in mc_spectral_stats, not here.
+    Inference, MC passes and the dropout-off pass alike, runs through
+    inference_passes, which keeps no cache.
     """
     X = _input_rows(model, x)
     zs, hiddens, masks = [], [X], []
@@ -438,8 +470,7 @@ def _fit(
     rng = np.random.default_rng(np.random.SeedSequence([_TAG_SHUFFLE, cfg.rng_seed]))
     state = init_adam_state(model)
     params = model.weights + model.biases
-    y0, _ = forward(model, inputs)
-    losses = [loss_fn(y0, np.arange(n))]
+    losses = [loss_fn(predict(model, inputs), np.arange(n))]
     for _ in range(cfg.n_epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0

@@ -31,9 +31,9 @@ from .metrics import sse, ssnr, threshold_sweep, variance_error_correlation
 from .neural import (
     MlpModel,
     TrainConfig,
-    forward,
     is_int,
     load_model,
+    predict,
     read_model_header,
     save_model,
     train_classifier,
@@ -348,7 +348,7 @@ class PolicyModels:
         over `outputs`, this utterance's BankOutputs, made here if absent;
         the single policies ignore it."""
         if name == "single-conv":
-            return forward(self.single, mag)[0], None
+            return predict(self.single, mag), None
         if name == "single-mc":
             return mc_spectral_stats(self.single, mag,
                                      mc_for_model(self.single, self.mc)).means, None

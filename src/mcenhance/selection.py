@@ -21,7 +21,7 @@ from .errors import (
     MissingModels,
 )
 from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
-from .neural import MlpModel, forward, load_model, save_model
+from .neural import MlpModel, load_model, predict
 
 BANK_MANIFEST = "bank.json"
 
@@ -76,19 +76,6 @@ def validate_bank(bank: ModelBank, need_classifier: bool = False) -> None:
             raise DimensionMismatch(
                 f"classifier has {bank.classifier.out_dim} outputs "
                 f"for {len(bank.models)} models")
-
-
-def save_bank(bank: ModelBank, dir_path) -> None:
-    """Write every model file of the bank, then its manifest."""
-    validate_bank(bank, need_classifier=bank.classifier is not None)
-    dir_path = Path(dir_path)
-    dir_path.mkdir(parents=True, exist_ok=True)
-    for label, model in zip(bank.labels, bank.models):
-        save_model(model, dir_path / f"expert_{label}.model")
-    if bank.classifier is not None:
-        save_model(bank.classifier, dir_path / "classifier.model")
-    write_bank_manifest(bank.labels, [m.keep_prob for m in bank.models],
-                        bank.classifier is not None, dir_path)
 
 
 def write_bank_manifest(labels, keep_probs, has_classifier: bool, dir_path) -> None:
@@ -187,13 +174,15 @@ def route_frames(
 class BankOutputs:
     """One utterance's magnitude frames and what a bank makes of them:
     the classifier posteriors, each expert's MC means and traces, and each
-    expert's dropout-off output. Each is computed the first time a policy
-    asks and then kept, so the policies routed over one object share one
-    sweep per expert. An expert always sweeps the whole frame grid, so its
-    masks match row for row whichever frames chose it. The sweeps read
-    their masks from the process's kept-bits table (neural.kept_bits), so
-    the experts share one draw of each mask row with each other and with
-    every other sweep in the process under the same MC seed.
+    expert's dropout-off output; the posteriors and the dropout-off
+    outputs come from neural.predict, which keeps no cache. Each is
+    computed the first time a policy asks and then kept, so the policies
+    routed over one object share one sweep per expert. An expert always
+    sweeps the whole frame grid, so its masks match row for row whichever
+    frames chose it. The sweeps read their masks from the process's
+    kept-bits table (neural.kept_bits), so the experts share one draw of
+    each mask row with each other and with every other sweep in the
+    process under the same MC seed.
     """
 
     def __init__(self, bank: ModelBank, mag: np.ndarray, mc: McConfig):
@@ -206,7 +195,7 @@ class BankOutputs:
         """Classifier posteriors [n, M]."""
         if "posteriors" not in self._kept:
             validate_bank(self.bank, need_classifier=True)
-            self._kept["posteriors"], _ = forward(self.bank.classifier, self.mag)
+            self._kept["posteriors"] = predict(self.bank.classifier, self.mag)
         return self._kept["posteriors"]
 
     def mc_stats(self, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +213,7 @@ class BankOutputs:
     def deterministic(self, j: int) -> np.ndarray:
         """Expert j's dropout-off output [n, bins]."""
         if ("plain", j) not in self._kept:
-            self._kept["plain", j], _ = forward(self.bank.models[j], self.mag)
+            self._kept["plain", j] = predict(self.bank.models[j], self.mag)
         return self._kept["plain", j]
 
 

@@ -1,11 +1,14 @@
 """Shared fixtures: tiny random nets plus a session-scoped miniature
 dataset and model set so integration tests don't retrain per test."""
 
+from pathlib import Path
+
 import pytest
 
 from mcenhance import neural
-from mcenhance.neural import MlpModel
+from mcenhance.neural import MlpModel, save_model
 from mcenhance.pipeline import ExperimentConfig, run_synth, run_train
+from mcenhance.selection import write_bank_manifest
 
 
 def random_model(
@@ -33,6 +36,20 @@ def random_model(
         seed=int(rng.integers(1 << 31)),
         noise_label="test",
     )
+
+
+def write_bank(bank, dir_path) -> None:
+    """Write a bank's model files, then its manifest, as train does:
+    expert_<label>.model per expert, classifier.model when it has one.
+    Nothing is checked, so a test can write a bank load_bank refuses."""
+    dir_path = Path(dir_path)
+    dir_path.mkdir(parents=True, exist_ok=True)
+    for label, model in zip(bank.labels, bank.models):
+        save_model(model, dir_path / f"expert_{label}.model")
+    if bank.classifier is not None:
+        save_model(bank.classifier, dir_path / "classifier.model")
+    write_bank_manifest(bank.labels, [m.keep_prob for m in bank.models],
+                        bank.classifier is not None, dir_path)
 
 
 MINI = dict(seed=11, n_passes=4, hidden_dims=(24, 24, 24), n_epochs=2,

@@ -262,6 +262,17 @@ def test_wav_cut_mid_sample_exits_3(mini_cli, capsys):
     assert not out.exists()
 
 
+def test_wav_with_a_short_data_chunk_exits_3(mini_cli, capsys):
+    cfg, flags, tmp = mini_cli
+    short = tmp / "short.wav"
+    short.write_bytes(Path(_noisy_wav(cfg)).read_bytes()[:-2])
+    out = tmp / "short_out.wav"
+    rc, err = _exit_code_and_err(capsys, ["enhance", *flags, "single-conv", str(short), str(out)])
+    assert rc == 3
+    assert "short.wav" in err
+    assert not out.exists()
+
+
 def test_synth_is_idempotent_and_train_single_writes(tmp_path):
     corpus = tmp_path / "corpus"
     args = ["synth", "--seed", "3", "--corpus-dir", str(corpus),

@@ -173,6 +173,23 @@ def test_read_wav_rejects_other_formats(tmp_path):
     with pytest.raises(UnsupportedFormat, match="cut.wav"):
         read_wav(cut)
 
+    # Cut at a sample boundary, it is a whole sample shorter than its header says.
+    short = tmp_path / "short.wav"
+    write_wav(short, Signal(np.zeros(100), 16000))
+    short.write_bytes(short.read_bytes()[:-2])
+    with pytest.raises(UnsupportedFormat, match="short.wav"):
+        read_wav(short)
+
+    # A streamed WAV whose data size is a placeholder larger than its data.
+    streamed = tmp_path / "streamed.wav"
+    write_wav(streamed, Signal(np.zeros(100), 16000))
+    data = bytearray(streamed.read_bytes())
+    at = data.index(b"data") + 4
+    data[at:at + 4] = (0xFFFFFFFF).to_bytes(4, "little")
+    streamed.write_bytes(bytes(data))
+    with pytest.raises(UnsupportedFormat, match="streamed.wav"):
+        read_wav(streamed)
+
 
 def test_write_wav_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.wav"

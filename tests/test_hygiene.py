@@ -86,3 +86,34 @@ def test_one_module_owns_the_sweep_summary_format():
         modules = [path.name for path in sorted((ROOT / "src" / "mcenhance").glob("*.py"))
                    if token in path.read_text()]
         assert modules == ["summary.py"], token
+
+
+def calls_by_owner(path: Path) -> list:
+    """(owner, callee) for every call in one module: owner is the
+    top-level function or Class.method the call sits in ("" at module
+    level), callee the last part of the called name."""
+    def owned(tree):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    yield f"{node.name}.{getattr(item, 'name', '')}", item
+            else:
+                yield getattr(node, "name", ""), node
+
+    return [(owner, getattr(call.func, "id", None) or getattr(call.func, "attr", None))
+            for owner, node in owned(ast.parse(path.read_text()))
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
+def test_forward_runs_only_in_training():
+    """forward keeps what backward reads, so only _fit's training steps
+    call it; inference is neural.inference_passes, and mcdrop runs no
+    layer of the network itself."""
+    package = ROOT / "src" / "mcenhance"
+    callers = [(path.name, owner) for path in sorted(package.glob("*.py"))
+               for owner, callee in calls_by_owner(path) if callee == "forward"]
+    assert callers == [("neural.py", "_fit")]
+    mcdrop = calls_by_owner(package / "mcdrop.py")
+    assert [callee for _, callee in mcdrop if callee in ("matmul", "softmax")] == []
+    tree = ast.parse((package / "mcdrop.py").read_text())
+    assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))

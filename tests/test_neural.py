@@ -33,13 +33,14 @@ from mcenhance.neural import (
     cross_entropy_loss,
     dropout_mask,
     forward,
+    inference_passes,
     init_adam_state,
     init_model,
-    input_layer,
     kept_bits,
     load_model,
     msle_grad,
     msle_loss,
+    predict,
     read_model_header,
     save_model,
     softmax,
@@ -422,15 +423,48 @@ def test_forward_dropout_changes_between_passes():
     assert not np.array_equal(y0, y1)
 
 
-def test_input_layer_checks_input_and_needs_a_hidden_layer():
+def test_inference_passes_checks_input_and_runs_a_model_with_no_hidden_layer():
     rng = np.random.default_rng(50)
     model = random_model(rng, (5, 9, 4))
     with pytest.raises(NonFiniteInput):
-        input_layer(model, np.array([[0.0, 1.0, np.nan, 0.0, 0.0]]))
+        next(inference_passes(model, np.array([[0.0, 1.0, np.nan, 0.0, 0.0]])))
     with pytest.raises(DimensionMismatch):
-        input_layer(model, np.zeros((2, 6)))
-    with pytest.raises(DimensionMismatch):
-        input_layer(random_model(rng, (5, 4)), np.zeros((2, 5)))
+        next(inference_passes(model, np.zeros((2, 6))))
+    # With no hidden layer no unit can drop, so kept is never asked and
+    # every pass is the dropout-off pass.
+    shallow = random_model(rng, (5, 4))
+    x = rng.uniform(0.0, 1.5, size=(3, 5))
+    want, _ = forward(shallow, x)
+
+    def never(t, l, width):
+        raise AssertionError("a model with no hidden layer has no mask")
+
+    passes = [y.copy() for y in inference_passes(shallow, x, n_passes=3, kept=never)]
+    assert [y.tobytes() for y in passes] == [want.tobytes()] * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_hidden=st.integers(0, 3), output=st.sampled_from(["relu", "softmax"]),
+       zscore=st.booleans(), keep_prob=st.sampled_from([1.0, 0.7]),
+       overflow=st.booleans(), n_rows=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_predict_is_the_dropout_off_forward_bit_for_bit(
+        n_hidden, output, zscore, keep_prob, overflow, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    dims = (6, *(int(w) for w in rng.integers(1, 12, size=n_hidden)), 5)
+    model = random_model(rng, dims, output_activation=output, keep_prob=keep_prob)
+    if zscore:
+        model.input_mean = rng.uniform(0.5, 1.5, size=6)
+        model.input_std = rng.uniform(0.5, 2.0, size=6)
+    if overflow:
+        # Layer-0 units (or outputs) reach inf, and inf - inf is NaN.
+        model.weights[0][::2] *= 1e308
+        model.weights[0][1::2] *= -1e308
+    x = rng.uniform(0.0, 1.5, size=(n_rows, 6))
+    with np.errstate(all="ignore"):
+        want, _ = forward(model, x)
+        got = predict(model, x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_train_regressor_converges_and_logs_losses():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import mcenhance
 from conftest import MINI, empty_mask_table, random_model, record_mask_draws, rows_drawn
-from mcenhance import corpus, mcdrop, metrics, neural, pipeline, selection, summary
+from mcenhance import corpus, mcdrop, neural, pipeline, selection, summary
 from mcenhance.corpus import (
     NOISE_PRESETS,
     SEEN_NOISES,
@@ -328,27 +328,52 @@ def test_warm_mask_table_writes_what_a_cold_one_writes(mini_system, tmp_path, mo
     assert run(tmp_path / "warm", cold=False) == cold
 
 
-def test_sweep_runs_every_expert_and_one_classifier_forward_per_entry(
+def test_sweep_runs_every_expert_and_one_classifier_predict_per_entry(
         mini_system, tmp_path, monkeypatch):
     cfg = replace(mini_system, reports_dir=str(tmp_path))
     bank = load_bank(cfg.models_dir)
     n_entries = len(entries_for(open_dataset(cfg.corpus_dir), "test"))
     sweeps = _record_sweeps(monkeypatch)
     classifier_rows = []
-    original = selection.forward
+    original = selection.predict
 
-    def counted(model, x, *args, **kwargs):
+    def counted(model, x):
         if model.noise_label == "classifier":
             classifier_rows.append(len(x))
-        return original(model, x, *args, **kwargs)
+        return original(model, x)
 
-    for module in (selection, metrics):
-        monkeypatch.setattr(module, "forward", counted, raising=False)
+    monkeypatch.setattr(selection, "predict", counted)
     run_sweep(cfg, "test")
     assert len(sweeps) == len(classifier_rows) == n_entries
     for frames, models in sweeps.values():
         assert sorted(m.noise_label for m in models) == sorted(bank.labels)
     assert sorted(classifier_rows) == sorted(len(frames) for frames, _ in sweeps.values())
+
+
+def test_only_training_builds_a_forward_cache(mini_system, tmp_path, monkeypatch):
+    built = []
+    original = neural.ForwardCache
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["y"].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(neural, "ForwardCache", counted)
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    e = entries_for(open_dataset(cfg.corpus_dir), "test")[0]
+    noisy = f"{cfg.corpus_dir}/test/{entry_id(e)}/noisy.wav"
+    run_sweep(cfg, "val")
+    run_evaluate(cfg)
+    run_sweep(cfg, "test")
+    for policy in POLICY_NAMES:
+        run_enhance(cfg, policy, noisy, tmp_path / f"{policy}.wav")
+    assert built == []
+
+    rng = np.random.default_rng(52)
+    clean = rng.uniform(0.0, 2.0, size=(70, 6))
+    train_cfg = neural.TrainConfig(n_epochs=2, batch_size=32, hidden_dims=(8, 8))
+    neural.train_regressor(clean + 0.1, clean, train_cfg)
+    assert built == [32, 32, 6] * 2  # one per minibatch step, none for the first loss
 
 
 def test_correlate_sweeps_the_matched_expert_once_and_reads_only_matched_entries(
@@ -416,8 +441,7 @@ def test_train_all_writes_each_model_once_and_reads_each_train_cache_at_most_twi
             return original(*args)
         return wrapper
 
-    for module in (pipeline, selection):
-        monkeypatch.setattr(module, "save_model", counted(saved, neural.save_model))
+    monkeypatch.setattr(pipeline, "save_model", counted(saved, neural.save_model))
     monkeypatch.setattr(corpus, "read_cache", counted(read, corpus.read_cache))
     cfg = replace(mini_system, models_dir=str(tmp_path / "models"),
                   reports_dir=str(tmp_path / "reports"))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import empty_mask_table, random_model, record_mask_draws, rows_drawn
+from conftest import empty_mask_table, random_model, record_mask_draws, rows_drawn, write_bank
 from mcenhance import selection
 from mcenhance.errors import (
     DimensionMismatch,
@@ -27,7 +27,6 @@ from mcenhance.selection import (
     decisions_to_csv,
     load_bank,
     route_frames,
-    save_bank,
     select_frames,
     sweep_bank,
     validate_bank,
@@ -267,7 +266,7 @@ def test_shared_masks_leave_every_sweep_byte_identical(monkeypatch):
 def test_bank_save_load_roundtrip(tmp_path):
     rng = np.random.default_rng(11)
     bank = make_bank(rng, n_models=3)
-    save_bank(bank, tmp_path)
+    write_bank(bank, tmp_path)
     assert (tmp_path / "bank.json").exists()
     back = load_bank(tmp_path)
     assert back.labels == bank.labels
@@ -278,22 +277,24 @@ def test_bank_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(cls_a.weights[0], cls_b.weights[0])
 
 
-def test_save_bank_checks_a_present_classifier(tmp_path):
+def test_validate_bank_checks_a_present_classifier(tmp_path):
     rng = np.random.default_rng(14)
     bank = make_bank(rng, n_models=2)
     bank.classifier = make_bank(rng, n_models=3).classifier  # 3 outputs, 2 experts
     with pytest.raises(DimensionMismatch):
-        save_bank(bank, tmp_path)
-    assert not (tmp_path / "bank.json").exists()
+        validate_bank(bank, need_classifier=True)
+    write_bank(bank, tmp_path)
+    with pytest.raises(DimensionMismatch):
+        load_bank(tmp_path)
     bank.classifier = None
-    save_bank(bank, tmp_path)
+    write_bank(bank, tmp_path)
     assert load_bank(tmp_path).classifier is None
 
 
 def test_load_bank_rejects_deterministic_experts(tmp_path):
     rng = np.random.default_rng(12)
     bank = make_bank(rng, n_models=2, keep_prob=1.0)
-    save_bank(bank, tmp_path)
+    write_bank(bank, tmp_path)
     with pytest.raises(InvalidConfig):
         load_bank(tmp_path)
 
@@ -303,7 +304,7 @@ def test_load_bank_missing_pieces(tmp_path):
     with pytest.raises(MissingModels):
         load_bank(tmp_path / "nothing")
     bank = make_bank(rng, n_models=2)
-    save_bank(bank, tmp_path)
+    write_bank(bank, tmp_path)
     (tmp_path / "expert_noise_0.model").unlink()
     with pytest.raises(MissingModels):
         load_bank(tmp_path)
@@ -312,7 +313,7 @@ def test_load_bank_missing_pieces(tmp_path):
 def test_load_bank_rejects_inconsistent_manifest(tmp_path):
     rng = np.random.default_rng(14)
     bank = make_bank(rng, n_models=2)
-    save_bank(bank, tmp_path)
+    write_bank(bank, tmp_path)
     manifest = json.loads((tmp_path / "bank.json").read_text())
     manifest["keep_probs"][0] = 0.95  # disagrees with the stored model
     (tmp_path / "bank.json").write_text(json.dumps(manifest))
@@ -378,7 +379,7 @@ def test_bank_outputs_run_each_expert_once_and_only_when_read(monkeypatch):
 @example(key="model_files", first_only=True, value="")  # the bank directory itself
 def test_load_bank_is_total_under_wrong_json_types(tmp_path_factory, key, first_only, value):
     root = tmp_path_factory.getbasetemp() / "fuzz_bank"
-    save_bank(make_bank(np.random.default_rng(16), n_models=2), root)
+    write_bank(make_bank(np.random.default_rng(16), n_models=2), root)
     manifest = json.loads((root / "bank.json").read_text())
     if first_only and isinstance(manifest[key], list):
         manifest[key][0] = value
