@@ -375,6 +375,8 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise InvalidManifest(f"{u.utt_id}: bad split {u.split!r}")
         if u.seed < 0:
             raise InvalidManifest(f"{u.utt_id}: negative seed {u.seed}")
+        if not -np.inf < u.duration_s < np.inf:  # NaN too; a huge JSON int is finite
+            raise InvalidManifest(f"{u.utt_id}: duration_s {u.duration_s} is not finite")
 
     train_noises = {e.noise for e in manifest.entries if e.split == "train"}
     seen_pairs = set()

@@ -200,6 +200,9 @@ def read_wav(path) -> Signal:
         raise UnsupportedFormat(f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
     if rate != 16000:
         raise UnsupportedFormat(f"{path}: expected 16000 Hz, got {rate}")
+    # A streamed file's placeholder size is 0, so its samples would go unread.
+    if n == 0:
+        raise UnsupportedFormat(f"{path}: header declares no samples")
     # wave returns what the file holds, so a data chunk that ends early (cut
     # at or inside a sample, or a streamed file's placeholder size) is short.
     if len(raw) != n * sampwidth:

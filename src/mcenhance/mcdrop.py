@@ -1,9 +1,10 @@
-"""Monte Carlo dropout inference: stochastic forward passes over an
-utterance, reduced to the predictive mean and the diagonal predictive
-variance per frame. The passes are neural's one inference pass with kept
-bits applied; this module checks tau, sums the moments and short-circuits
-frames whose passes all agree. Masks come from the process's kept-bits
-table, so each mask row is drawn once however many sweeps read it."""
+"""Monte Carlo dropout inference: stochastic passes over an utterance,
+reduced to the predictive mean and the diagonal predictive variance per
+frame. The passes are neural's one layer loop with kept bits applied,
+the same loop training runs once per step; this module checks tau, sums
+the moments and short-circuits frames whose passes all agree. Masks come
+from the process's kept-bits table, so each mask row is drawn once
+however many sweeps read it."""
 
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig
-from .neural import MlpModel, inference_passes, is_int, kept_bits
+from .errors import InvalidConfig
+from .neural import MlpModel, inference_passes, input_rows, is_int, kept_bits
 
 
 @dataclass
@@ -92,14 +93,15 @@ def _check_tau(model: MlpModel, cfg: McConfig) -> None:
 def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) -> McSweep:
     """MC sweep over all frames of an utterance at once.
 
-    Bit-identical to stacking all passes of forward and reducing them,
-    and equal to rounding to the per-frame reference (one frame at a
-    time, masks pinned by its row); both oracles live in
-    tests/test_mcdrop.py. The passes are neural.inference_passes, whose
-    buffers are allocated once per sweep, and the moments accumulate in
-    place as passes arrive, so memory is O(frames x bins) whatever the
-    pass count. A model in which no unit can drop runs one dropout-off
-    pass: its frames all agree, so it returns that pass and tau_inv.
+    The passes are neural.inference_passes with kept bits, each one the
+    pass forward trains with; the moments accumulate in place as passes
+    arrive, so memory is O(frames x bins) whatever the pass count. The
+    result is bit-identical to stacking the passes of a plain-numpy
+    reference and reducing them, and equal to rounding to the per-frame
+    reference (one frame at a time, masks pinned by its row); both
+    oracles live in tests/test_mcdrop.py. A model in which no unit can
+    drop runs one dropout-off pass: its frames all agree, so it returns
+    that pass and tau_inv.
 
     Frame k of pass t takes row k of the (cfg.rng_seed, t) stream's
     masks, read as kept bits from neural's process-wide table: a row
@@ -107,17 +109,13 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     sweep with the same seed, width and keep probability.
     """
     _check_tau(model, cfg)
-    mag_frames = np.asarray(mag_frames, dtype=np.float64)
-    if mag_frames.ndim != 2 or mag_frames.shape[1] != model.in_dim:
-        raise DimensionMismatch(
-            f"frames {mag_frames.shape} vs model input dim {model.in_dim}")
-
     n_passes, kept = 1, None
     if model.keep_prob < 1.0 and len(model.weights) > 1:
-        n, p = len(mag_frames), model.keep_prob
-        n_passes = cfg.n_passes
-        kept = lambda t, l, width: kept_bits(cfg.rng_seed, t, l, n, width, p)
-    for t, y in enumerate(inference_passes(model, mag_frames, n_passes, kept)):
+        n_passes, p = cfg.n_passes, model.keep_prob
+        # Asked only after input_rows has checked mag_frames' shape.
+        kept = lambda t, l, width: kept_bits(cfg.rng_seed, t, l, len(mag_frames), width, p)
+    passes = inference_passes(model, input_rows(model, mag_frames), n_passes, kept)
+    for t, (y, _) in enumerate(passes):
         if t == 0:
             total, total_sq = y.copy(), y * y
             agree, first = np.arange(len(y)), y.copy()

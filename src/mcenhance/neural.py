@@ -118,7 +118,6 @@ class MlpModel:
 
 @dataclass
 class ForwardCache:
-    zs: list
     hiddens: list
     masks: list
     y: np.ndarray
@@ -254,8 +253,9 @@ def kept_bits(seed: int, pass_index: int, layer_index: int, n_rows: int,
     return _KEPT_BITS.kept(seed, pass_index, layer_index, n_rows, width, keep_prob)
 
 
-def _input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Checked, normalised input rows [n, in_dim]."""
+def input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Checked, normalised input rows [n, in_dim]: what inference_passes
+    takes."""
     X = np.asarray(x, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
         raise DimensionMismatch(f"input shape {X.shape}, expected [rows, {model.in_dim}]")
@@ -266,26 +266,27 @@ def _input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return X
 
 
-def inference_passes(model: MlpModel, x: np.ndarray, n_passes: int = 1, kept=None):
-    """Yield the network's output [n, out_dim] for each of n_passes
-    passes over the rows of x: the library's one inference pass.
+def inference_passes(model: MlpModel, X: np.ndarray, n_passes: int = 1, kept=None):
+    """Yield (y, hiddens) for each of n_passes passes over the rows X of
+    input_rows: the network's output [n, out_dim] and each hidden layer's
+    output after its mask. This is the library's one layer loop; forward
+    is its first pass, recorded.
 
     kept(t, l, width) gives pass t's kept bits, bool [n, width], for
-    hidden layer l, applied as forward applies them, (h * kept) *
-    (1 / keep_prob); kept=None is the dropout-off pass. Every pass has
-    the bits of forward with the same masks, inf and NaN included, but
-    keeps no cache. Dropout acts only after hidden ReLUs, so the input
-    checks, the z-score and layer 0 run once per call; each pass writes
-    the other layers into buffers allocated once per call. A yielded
-    array may be reused by the next pass, so read it before asking for
-    the next one.
+    hidden layer l, applied as (h * kept) * (1 / keep_prob); kept=None is
+    the dropout-off pass. Dropout acts only after hidden ReLUs, so layer 0
+    runs once per call, and the reference to X is dropped after it; each
+    pass writes the other layers into buffers allocated once per call.
+    The yielded arrays are those buffers, not copies, so the next pass
+    overwrites them: read them before asking for it.
     """
-    h0 = _input_rows(model, x)
+    h0 = X
     if len(model.weights) > 1:
-        h0 = relu(h0 @ model.weights[0].T + model.biases[0])
+        h0 = relu(X @ model.weights[0].T + model.biases[0])
+        del X
     n, scale = len(h0), 1.0 / model.keep_prob
     # A dropout-off pass reads h0 itself, so layer 0 needs no buffer.
-    hidden = [np.empty((n, w)) if l or kept is not None else None
+    hidden = [np.empty((n, w)) if l or kept is not None else h0
               for l, w in enumerate(model.layer_dims[1:-1])]
     out = np.empty((n, model.out_dim))
     relu_out = model.output_activation == "relu"
@@ -301,55 +302,50 @@ def inference_passes(model: MlpModel, x: np.ndarray, n_passes: int = 1, kept=Non
                 m *= scale
         np.matmul(h, model.weights[-1].T, out=out)
         out += model.biases[-1]
-        yield np.maximum(out, 0.0, out=out) if relu_out else softmax(out)
+        yield np.maximum(out, 0.0, out=out) if relu_out else softmax(out), hidden
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """The dropout-off pass: forward(model, x)[0], bit for bit, with no
-    cache."""
-    return next(inference_passes(model, x))
+    """The dropout-off pass's output, forward(model, x)[0], without the
+    record forward keeps for backward."""
+    return next(inference_passes(model, input_rows(model, x)))[0]
 
 
 def forward(
     model: MlpModel, x: np.ndarray, stream: DropoutStream | None = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch of row vectors [n, in_dim], keeping
-    what backward reads: the training pass.
+    """The training pass over a batch of row vectors [n, in_dim]: the
+    first pass of inference_passes, recorded for backward.
 
     stream=None is the deterministic mode (no masks, no rescaling);
     passing a DropoutStream draws each hidden layer's kept bits from
-    dropout_mask and applies them as (h * kept) * (1 / keep_prob), so a
-    unit is zeroed with probability 1 - keep_prob and survivors are
-    scaled; ForwardCache.masks keeps the bits (None without a stream).
-    Inference, MC passes and the dropout-off pass alike, runs through
-    inference_passes, which keeps no cache.
+    dropout_mask, so a unit is zeroed with probability 1 - keep_prob and
+    survivors are scaled; ForwardCache.masks keeps the bits (None without
+    a stream) and ForwardCache.hiddens the input rows and each hidden
+    layer's output after its mask.
     """
-    X = _input_rows(model, x)
-    zs, hiddens, masks = [], [X], []
-    h = X
-    for l in range(len(model.weights) - 1):
-        z = h @ model.weights[l].T + model.biases[l]
-        h = relu(z)
-        zs.append(z)
-        if stream is not None and model.keep_prob < 1.0:
-            kept = dropout_mask(stream, l, X.shape[0], z.shape[1], model.keep_prob)
-            h *= kept
-            h *= 1.0 / model.keep_prob
-            masks.append(kept)
-        else:
-            masks.append(None)
-        hiddens.append(h)
-    z = h @ model.weights[-1].T + model.biases[-1]
-    zs.append(z)
-    y = relu(z) if model.output_activation == "relu" else softmax(z)
-    return y, ForwardCache(zs=zs, hiddens=hiddens, masks=masks, y=y,
+    X = input_rows(model, x)
+    masks = [None] * (len(model.layer_dims) - 2)
+    kept = None
+    if stream is not None and model.keep_prob < 1.0:
+        def kept(t, l, width):
+            masks[l] = dropout_mask(stream, l, len(X), width, model.keep_prob)
+            return masks[l]
+    y, hiddens = next(inference_passes(model, X, kept=kept))
+    return y, ForwardCache(hiddens=[X, *hiddens], masks=masks, y=y,
                            layer_dims=tuple(model.layer_dims))
 
 
 def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradients:
-    """Backpropagate dL/dy through the cached pass (the cached kept bits
-    applied to delta as in forward, (delta * kept) * (1 / keep_prob);
-    ReLU subgradient 0 at 0)."""
+    """Backpropagate dL/dy through the recorded pass (the kept bits
+    applied to delta as in the pass, (delta * kept) * (1 / keep_prob);
+    ReLU subgradient 0 at 0).
+
+    A ReLU's gate is its recorded output > 0: a kept unit holds
+    relu(z) / keep_prob with 1 / keep_prob >= 1, which is > 0 exactly when
+    z > 0 (NaN fails both), and a dropped unit's delta is already +-0 or
+    NaN after the mask, which either gate leaves as it is.
+    """
     if cache.layer_dims != tuple(model.layer_dims):
         raise CacheMismatch(f"cache dims {cache.layer_dims} vs model {tuple(model.layer_dims)}")
     G = np.asarray(grad_y, dtype=np.float64)
@@ -357,7 +353,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradie
         raise CacheMismatch(f"grad shape {G.shape} vs output {cache.y.shape}")
 
     if model.output_activation == "relu":
-        delta = G * (cache.zs[-1] > 0)
+        delta = G * (cache.y > 0)
     else:
         p = cache.y
         delta = p * (G - np.sum(G * p, axis=1, keepdims=True))
@@ -373,7 +369,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradie
             if cache.masks[l - 1] is not None:
                 delta *= cache.masks[l - 1]
                 delta *= 1.0 / model.keep_prob
-            delta = delta * (cache.zs[l - 1] > 0)
+            delta = delta * (cache.hiddens[l] > 0)
     return Gradients(dweights=dweights, dbiases=dbiases)
 
 
@@ -442,6 +438,7 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
 
 def _fit(
     inputs: np.ndarray,
+    targets: np.ndarray,
     out_dim: int,
     output_activation: str,
     loss_fn,
@@ -450,9 +447,10 @@ def _fit(
     noise_label: str,
 ) -> tuple[MlpModel, list]:
     """Build a network on checked input rows and train it with Adam on
-    shuffled minibatches; loss_fn/grad_fn(y, idx) close over the targets of
-    rows idx. Returns the model and the loss history: the pre-training loss
-    under deterministic inference, then one entry per epoch."""
+    shuffled minibatches; loss_fn/grad_fn(y, targets) score the outputs of
+    a batch against its rows of targets. Returns the model and the loss
+    history: the pre-training loss under deterministic inference, then one
+    entry per epoch."""
     n = inputs.shape[0]
     model = init_model(
         [inputs.shape[1], *cfg.hidden_dims, out_dim],
@@ -470,7 +468,7 @@ def _fit(
     rng = np.random.default_rng(np.random.SeedSequence([_TAG_SHUFFLE, cfg.rng_seed]))
     state = init_adam_state(model)
     params = model.weights + model.biases
-    losses = [loss_fn(predict(model, inputs), np.arange(n))]
+    losses = [loss_fn(predict(model, inputs), targets)]
     for _ in range(cfg.n_epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
@@ -479,8 +477,9 @@ def _fit(
             # Step k draws its dropout masks from pass k of the run's stream.
             stream = DropoutStream(seed=cfg.rng_seed, pass_index=state.t)
             y, cache = forward(model, inputs[idx], stream=stream)
-            epoch_loss += loss_fn(y, idx) * len(idx)
-            grads = backward(model, cache, grad_fn(y, idx))
+            batch_targets = targets[idx]
+            epoch_loss += loss_fn(y, batch_targets) * len(idx)
+            grads = backward(model, cache, grad_fn(y, batch_targets))
             adam_step(params, grads.dweights + grads.dbiases, state, cfg)
         losses.append(epoch_loss / n)
     return model, losses
@@ -499,12 +498,8 @@ def train_regressor(
         raise DimensionMismatch(f"{noisy_mag.shape} vs {clean_mag.shape}")
     if np.any(noisy_mag < 0) or np.any(clean_mag < 0):
         raise NegativeSpectrum("training spectra must be nonnegative")
-    return _fit(
-        noisy_mag, noisy_mag.shape[1], "relu",
-        loss_fn=lambda y, idx: msle_loss(y, clean_mag[idx]),
-        grad_fn=lambda y, idx: msle_grad(y, clean_mag[idx]),
-        cfg=cfg, noise_label=noise_label,
-    )
+    return _fit(noisy_mag, clean_mag, noisy_mag.shape[1], "relu",
+                msle_loss, msle_grad, cfg, noise_label)
 
 
 def train_classifier(
@@ -524,12 +519,8 @@ def train_classifier(
         raise DimensionMismatch(f"{mag_frames.shape} vs labels {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
-    return _fit(
-        mag_frames, n_classes, "softmax",
-        loss_fn=lambda y, idx: cross_entropy_loss(y, labels[idx]),
-        grad_fn=lambda y, idx: cross_entropy_grad(y, labels[idx]),
-        cfg=cfg, noise_label=noise_label,
-    )
+    return _fit(mag_frames, labels, n_classes, "softmax",
+                cross_entropy_loss, cross_entropy_grad, cfg, noise_label)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -3,9 +3,11 @@ dataset and model set so integration tests don't retrain per test."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcenhance import neural
+from mcenhance.dsp import Signal, write_wav
 from mcenhance.neural import MlpModel, save_model
 from mcenhance.pipeline import ExperimentConfig, run_synth, run_train
 from mcenhance.selection import write_bank_manifest
@@ -38,6 +40,48 @@ def random_model(
     )
 
 
+def float_mask(stream, layer, n_rows, width, keep_prob):
+    """Test oracle: the float inverted-dropout mask (u < keep_prob) /
+    keep_prob, with u from Generator.random at dropout_mask's stream
+    address. Its nonzero units must be dropout_mask's kept bits."""
+    g = np.random.Generator(neural._mask_rng(stream.seed, stream.pass_index, layer))
+    offset = stream.row_offset * width
+    g.bit_generator.advance(int(offset // 4))
+    if offset % 4:
+        g.bit_generator.random_raw(offset % 4)
+    u = g.random((n_rows, width))
+    return (u < keep_prob).astype(np.float64) / keep_prob
+
+
+def reference_pass(model, x, stream=None):
+    """Test oracle: one pass of the network in plain numpy, multiplying
+    each hidden ReLU by its float_mask where the library applies kept
+    bits. Returns (y, zs, hiddens, masks): the output, every layer's
+    pre-activation, the normalised input rows followed by each hidden
+    layer's output after its mask, and the float masks (None without a
+    stream or at keep_prob 1). The library's passes must have its bytes,
+    inf and NaN included."""
+    X = np.asarray(x, dtype=np.float64)
+    if model.input_mean is not None:
+        X = (X - model.input_mean) / model.input_std
+    zs, hiddens, masks = [], [X], []
+    for l in range(len(model.weights) - 1):
+        z = hiddens[-1] @ model.weights[l].T + model.biases[l]
+        mask = None
+        if stream is not None and model.keep_prob < 1.0:
+            mask = float_mask(stream, l, len(X), z.shape[1], model.keep_prob)
+        h = np.maximum(z, 0.0)
+        zs.append(z)
+        hiddens.append(h if mask is None else h * mask)
+        masks.append(mask)
+    z = hiddens[-1] @ model.weights[-1].T + model.biases[-1]
+    zs.append(z)
+    if model.output_activation == "relu":
+        return np.maximum(z, 0.0), zs, hiddens, masks
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True), zs, hiddens, masks
+
+
 def write_bank(bank, dir_path) -> None:
     """Write a bank's model files, then its manifest, as train does:
     expert_<label>.model per expert, classifier.model when it has one.
@@ -50,6 +94,20 @@ def write_bank(bank, dir_path) -> None:
         save_model(bank.classifier, dir_path / "classifier.model")
     write_bank_manifest(bank.labels, [m.keep_prob for m in bank.models],
                         bank.classifier is not None, dir_path)
+
+
+def zero_sample_wavs(dir_path) -> list:
+    """Two WAVs whose headers declare no samples: a streamed file whose
+    data size is the placeholder 0 (100 samples follow it) and an empty
+    file."""
+    placeholder, empty = Path(dir_path) / "placeholder.wav", Path(dir_path) / "empty.wav"
+    write_wav(placeholder, Signal(np.zeros(100), 16000))
+    data = bytearray(placeholder.read_bytes())
+    at = data.index(b"data") + 4
+    data[at:at + 4] = bytes(4)
+    placeholder.write_bytes(bytes(data))
+    write_wav(empty, Signal(np.zeros(0), 16000))
+    return [placeholder, empty]
 
 
 MINI = dict(seed=11, n_passes=4, hidden_dims=(24, 24, 24), n_epochs=2,

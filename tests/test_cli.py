@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mcenhance
-from conftest import random_model
+from conftest import random_model, zero_sample_wavs
 from mcenhance import corpus, mcdrop, pipeline, selection
 from mcenhance.cli import main
 from mcenhance.corpus import default_manifest, entries_for, entry_id, open_dataset, save_manifest
@@ -273,6 +273,17 @@ def test_wav_with_a_short_data_chunk_exits_3(mini_cli, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", [0, 1], ids=["placeholder", "empty"])
+def test_wav_with_no_samples_exits_3(mini_cli, capsys, kind):
+    cfg, flags, tmp = mini_cli
+    wav = zero_sample_wavs(tmp)[kind]
+    out = tmp / "zero_out.wav"
+    rc, err = _exit_code_and_err(capsys, ["enhance", *flags, "single-conv", str(wav), str(out)])
+    assert rc == 3
+    assert wav.name in err
+    assert not out.exists()
+
+
 def test_synth_is_idempotent_and_train_single_writes(tmp_path):
     corpus = tmp_path / "corpus"
     args = ["synth", "--seed", "3", "--corpus-dir", str(corpus),
@@ -484,6 +495,8 @@ def test_train_on_a_corpus_without_train_entries_exits_3(tmp_path, capsys, scope
     (("entries", 0, "split"), None),
     (("entries", 0), "x"),
     (("entries",), 5),
+    (("utterances", 0, "duration_s"), float("nan")),
+    (("utterances", 0, "duration_s"), float("inf")),
 ])
 def test_bad_manifest_field_exits_3(mini_system, tmp_path, capsys, where, value):
     data = json.loads((Path(mini_system.corpus_dir) / "manifest.json").read_text())
@@ -506,6 +519,21 @@ def test_negative_manifest_seed_exits_3(tmp_path, capsys, records):
         "--corpus-dir", str(tmp_path / "corpus")])
     assert rc == 3  # InvalidManifest
     assert "negative seed -3" in err
+
+
+@pytest.mark.parametrize("duration", ["NaN", "Infinity", "1e400"])
+def test_non_finite_manifest_duration_exits_3(tmp_path, capsys, duration):
+    manifest = default_manifest(seed=1, n_train=1, n_val=1, n_test=1, duration_s=1.0)
+    utt_id = manifest.utterances[0].utt_id
+    manifest.utterances[0].duration_s = 12345.5
+    save_manifest(manifest, tmp_path / "manifest.json")
+    text = (tmp_path / "manifest.json").read_text()
+    (tmp_path / "manifest.json").write_text(text.replace("12345.5", duration))
+    rc, err = _exit_code_and_err(capsys, [
+        "synth", "--manifest", str(tmp_path / "manifest.json"),
+        "--corpus-dir", str(tmp_path / "corpus")])
+    assert rc == 3  # InvalidManifest
+    assert utt_id in err
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import zero_sample_wavs
 from mcenhance.corpus import (
     NOISE_PRESETS,
     SEEN_NOISES,
@@ -37,6 +38,7 @@ from mcenhance.errors import (
     InvalidParams,
     McenError,
     MissingCorpus,
+    UnsupportedFormat,
     VersionMismatch,
 )
 
@@ -162,6 +164,12 @@ def test_wav_noise_tiles_the_file_rms_normalised(tmp_path):
     assert np.sqrt(np.mean(sig.samples ** 2)) == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(InvalidParams):
         synth_noise(NoiseSpec("wav"), 0.2)
+
+
+def test_wav_noise_refuses_a_file_with_no_samples(tmp_path):
+    for path in zero_sample_wavs(tmp_path):
+        with pytest.raises(UnsupportedFormat, match=path.name):
+            synth_noise(NoiseSpec("wav", {"path": str(path)}), 1.0)
 
 
 def test_default_manifest_structure():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import zero_sample_wavs
 from mcenhance.dsp import (
     FrameConfig,
     Signal,
@@ -189,6 +190,12 @@ def test_read_wav_rejects_other_formats(tmp_path):
     streamed.write_bytes(bytes(data))
     with pytest.raises(UnsupportedFormat, match="streamed.wav"):
         read_wav(streamed)
+
+    # A header that declares no samples: a streamed file's placeholder size
+    # 0 would leave the samples after it unread, and an empty file has none.
+    for path in zero_sample_wavs(tmp_path):
+        with pytest.raises(UnsupportedFormat, match=path.name):
+            read_wav(path)
 
 
 def test_write_wav_clips_out_of_range(tmp_path):

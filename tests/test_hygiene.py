@@ -107,8 +107,9 @@ def calls_by_owner(path: Path) -> list:
 
 def test_forward_runs_only_in_training():
     """forward keeps what backward reads, so only _fit's training steps
-    call it; inference is neural.inference_passes, and mcdrop runs no
-    layer of the network itself."""
+    call it. The network's layers run in one loop, neural.inference_passes:
+    forward records its first pass and computes no layer itself, backward
+    is the only other GEMM in neural, and mcdrop runs no layer at all."""
     package = ROOT / "src" / "mcenhance"
     callers = [(path.name, owner) for path in sorted(package.glob("*.py"))
                for owner, callee in calls_by_owner(path) if callee == "forward"]
@@ -117,3 +118,15 @@ def test_forward_runs_only_in_training():
     assert [callee for _, callee in mcdrop if callee in ("matmul", "softmax")] == []
     tree = ast.parse((package / "mcdrop.py").read_text())
     assert not any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+    neural = ast.parse((package / "neural.py").read_text())
+    gemm_owners = {node.name for node in neural.body
+                   for inner in ast.walk(node)
+                   if isinstance(inner, ast.MatMult)
+                   or (isinstance(inner, ast.Call)
+                       and getattr(inner.func, "attr", None) == "matmul")}
+    assert gemm_owners == {"inference_passes", "backward"}
+    forward = [callee for owner, callee in calls_by_owner(package / "neural.py")
+               if owner == "forward"]
+    assert "inference_passes" in forward
+    assert [c for c in forward if c in ("relu", "softmax", "maximum")] == []

@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import empty_mask_table, random_model, record_mask_draws, rows_drawn
+from conftest import (
+    empty_mask_table,
+    random_model,
+    record_mask_draws,
+    reference_pass,
+    rows_drawn,
+)
 from mcenhance import neural
 from mcenhance.errors import InvalidConfig, NonFiniteInput
 from mcenhance.mcdrop import (
@@ -16,15 +22,15 @@ from mcenhance.neural import DropoutStream, forward
 
 
 def materialised_stats(model, mag, cfg, row_offset=0):
-    """Stack every pass in one [T, n, bins] array, then reduce it; the
-    oracle the streaming engine must reproduce bit for bit. Frame k takes
-    the masks of row row_offset + k, so one frame with row_offset=i is
-    the per-frame reference for row i of a sweep."""
+    """Stack every pass of reference_pass in one [T, n, bins] array, then
+    reduce it; the oracle the streaming engine must reproduce bit for bit.
+    Frame k takes the masks of row row_offset + k, so one frame with
+    row_offset=i is the per-frame reference for row i of a sweep."""
     mag = np.asarray(mag, dtype=np.float64)
     samples = np.empty((cfg.n_passes, mag.shape[0], model.out_dim))
     for t in range(cfg.n_passes):
         stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=row_offset)
-        samples[t], _ = forward(model, mag, stream=stream)
+        samples[t] = reference_pass(model, mag, stream)[0]
     means = samples.mean(axis=0)
     raw = (samples * samples).mean(axis=0) - means * means
     variances = cfg.tau_inv + np.maximum(raw, 0.0)

@@ -1,4 +1,5 @@
 import builtins
+import itertools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_model, record_mask_draws, rows_drawn
+from conftest import float_mask, random_model, record_mask_draws, reference_pass, rows_drawn
 from mcenhance import dsp, neural
 from mcenhance.corpus import write_cache
 from mcenhance.dsp import Signal, write_wav
@@ -36,6 +37,7 @@ from mcenhance.neural import (
     inference_passes,
     init_adam_state,
     init_model,
+    input_rows,
     kept_bits,
     load_model,
     msle_grad,
@@ -241,19 +243,6 @@ def test_weight_decay_shrinks_params():
     assert np.abs(model.weights[0]).sum() < w_before
 
 
-def float_mask(stream, layer, n_rows, width, keep_prob):
-    """Test oracle: the float inverted-dropout mask (u < keep_prob) /
-    keep_prob, with u from Generator.random at dropout_mask's stream
-    address. Its nonzero units must be dropout_mask's kept bits."""
-    g = np.random.Generator(neural._mask_rng(stream.seed, stream.pass_index, layer))
-    offset = stream.row_offset * width
-    g.bit_generator.advance(int(offset // 4))
-    if offset % 4:
-        g.bit_generator.random_raw(offset % 4)
-    u = g.random((n_rows, width))
-    return (u < keep_prob).astype(np.float64) / keep_prob
-
-
 def test_dropout_mask_values_and_determinism():
     s = DropoutStream(seed=5, pass_index=2)
     a = dropout_mask(s, 1, 16, 32, 0.8)
@@ -349,60 +338,64 @@ def test_dropout_mask_keeps_the_float_masks_nonzero_units(
 
 
 def _float_mask_step(model, X, stream, grad_y):
-    """Test oracle: forward then backward multiplying by float_mask, which
-    the kept-bits training step must match byte for byte."""
-    zs, hiddens, masks = [], [X], []
-    h = X
-    for l in range(len(model.weights) - 1):
-        z = h @ model.weights[l].T + model.biases[l]
-        zs.append(z)
-        mask = float_mask(stream, l, X.shape[0], z.shape[1], model.keep_prob)
-        masks.append(mask)
-        h = np.maximum(z, 0.0) * mask
-        hiddens.append(h)
-    z = h @ model.weights[-1].T + model.biases[-1]
-    zs.append(z)
-    y = np.maximum(z, 0.0)
-    delta = grad_y * (z > 0)
+    """Test oracle: reference_pass, then backward multiplying by its float
+    masks and gating each ReLU by its pre-activation; the kept-bits
+    training step must match it byte for byte."""
+    y, zs, hiddens, masks = reference_pass(model, X, stream)
+    if model.output_activation == "relu":
+        delta = grad_y * (zs[-1] > 0)
+    else:
+        delta = y * (grad_y - np.sum(grad_y * y, axis=1, keepdims=True))
     dweights, dbiases = [None] * len(model.weights), [None] * len(model.weights)
     for l in range(len(model.weights) - 1, -1, -1):
         dweights[l] = delta.T @ hiddens[l]
         dbiases[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ model.weights[l]) * masks[l - 1]
+            delta = delta @ model.weights[l]
+            if masks[l - 1] is not None:
+                delta = delta * masks[l - 1]
             delta = delta * (zs[l - 1] > 0)
     return y, hiddens, dweights, dbiases
 
 
 @pytest.mark.parametrize("overflow", [False, True])
 def test_training_step_has_the_float_mask_steps_bytes(overflow):
-    rng = np.random.default_rng(49)
-    model = random_model(rng, (6, 9, 9, 5), keep_prob=0.7)
-    X = rng.uniform(0.0, 1.5, size=(11, 6))
-    if overflow:
-        # Layer-0 units reach inf, or a finite value whose 1/keep_prob
-        # rescale overflows; a dropped inf unit is inf * 0 = NaN.
-        model.weights[0][::2] *= 1e308
-        model.weights[0][1::2] *= 1e306
-    grad_y = rng.standard_normal((11, 5))
     stream = DropoutStream(seed=3, pass_index=2, row_offset=4)
+    for output, zscore, keep_prob in itertools.product(
+            ("relu", "softmax"), (False, True), (0.7, 1.0)):
+        rng = np.random.default_rng(49)
+        model = random_model(rng, (6, 9, 9, 5), output_activation=output,
+                             keep_prob=keep_prob)
+        X = rng.uniform(0.0, 1.5, size=(11, 6))
+        grad_y = rng.standard_normal((11, 5))
+        if zscore:
+            model.input_mean = rng.uniform(0.5, 1.0, size=6)
+            model.input_std = rng.uniform(0.5, 2.0, size=6)
+        if overflow:
+            # Layer-0 units reach inf, or a finite value whose 1/keep_prob
+            # rescale overflows; a dropped inf unit is inf * 0 = NaN.
+            model.weights[0][::2] *= 1e308
+            model.weights[0][1::2] *= 1e306
 
-    with np.errstate(all="ignore"):
-        y, cache = forward(model, X, stream=stream)
-        grads = backward(model, cache, grad_y)
-        want_y, want_hiddens, want_dw, want_db = _float_mask_step(model, X, stream, grad_y)
-        _, det_cache = forward(model, X)
+        with np.errstate(all="ignore"):
+            y, cache = forward(model, X, stream=stream)
+            grads = backward(model, cache, grad_y)
+            want_y, want_hiddens, want_dw, want_db = _float_mask_step(model, X, stream, grad_y)
+            _, det_cache = forward(model, X)
 
-    assert y.tobytes() == want_y.tobytes()
-    assert len(cache.hiddens) == len(want_hiddens)
-    for got, want in zip(cache.hiddens, want_hiddens):
-        assert got.tobytes() == want.tobytes()
-    for got, want in zip(grads.dweights + grads.dbiases, want_dw + want_db):
-        assert got.tobytes() == want.tobytes()
-    assert [m.dtype for m in cache.masks] == [bool, bool]
-    if overflow:
-        assert np.isnan(cache.hiddens[1]).any() and np.isinf(cache.hiddens[1]).any()
-    assert det_cache.masks == [None, None]
+        assert y.tobytes() == want_y.tobytes()
+        assert len(cache.hiddens) == len(want_hiddens)
+        for got, want in zip(cache.hiddens, want_hiddens):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(grads.dweights + grads.dbiases, want_dw + want_db):
+            assert got.tobytes() == want.tobytes()
+        if keep_prob < 1.0:
+            assert [m.dtype for m in cache.masks] == [bool, bool]
+        else:
+            assert cache.masks == [None, None]
+        if overflow and keep_prob < 1.0 and not zscore:
+            assert np.isnan(cache.hiddens[1]).any() and np.isinf(cache.hiddens[1]).any()
+        assert det_cache.masks == [None, None]
 
 
 def test_forward_keep_prob_one_ignores_stream():
@@ -427,9 +420,9 @@ def test_inference_passes_checks_input_and_runs_a_model_with_no_hidden_layer():
     rng = np.random.default_rng(50)
     model = random_model(rng, (5, 9, 4))
     with pytest.raises(NonFiniteInput):
-        next(inference_passes(model, np.array([[0.0, 1.0, np.nan, 0.0, 0.0]])))
+        input_rows(model, np.array([[0.0, 1.0, np.nan, 0.0, 0.0]]))
     with pytest.raises(DimensionMismatch):
-        next(inference_passes(model, np.zeros((2, 6))))
+        input_rows(model, np.zeros((2, 6)))
     # With no hidden layer no unit can drop, so kept is never asked and
     # every pass is the dropout-off pass.
     shallow = random_model(rng, (5, 4))
@@ -439,7 +432,7 @@ def test_inference_passes_checks_input_and_runs_a_model_with_no_hidden_layer():
     def never(t, l, width):
         raise AssertionError("a model with no hidden layer has no mask")
 
-    passes = [y.copy() for y in inference_passes(shallow, x, n_passes=3, kept=never)]
+    passes = [y.copy() for y, _ in inference_passes(shallow, x, n_passes=3, kept=never)]
     assert [y.tobytes() for y in passes] == [want.tobytes()] * 3
 
 
@@ -463,8 +456,10 @@ def test_predict_is_the_dropout_off_forward_bit_for_bit(
     with np.errstate(all="ignore"):
         want, _ = forward(model, x)
         got = predict(model, x)
+        reference = reference_pass(model, x)[0]
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == reference.tobytes()
 
 
 def test_train_regressor_converges_and_logs_losses():
