@@ -42,6 +42,13 @@ _TAG_MIX_SEED = 204
 # 16-bit full scale with one LSB of headroom, so quantization never clips.
 _PEAK_LIMIT = 32767.0 / 32768.0
 
+# Shortest and longest synthesized utterance, in seconds. The upper bound
+# is ten minutes (9.6 M samples at 16 kHz), far above the paper's
+# few-second utterances: a sweep holds all of an utterance's frames at
+# once, and a longer request is refused before any sample is allocated.
+MIN_DURATION_S = 0.5
+MAX_DURATION_S = 600.0
+
 
 @dataclass
 class NoiseSpec:
@@ -97,8 +104,9 @@ def synth_speech(duration_s: float, seed: int, sample_rate_hz: int = 16000) -> S
     """Pseudo-speech: pitch-modulated harmonic bursts shaped by random
     formant resonances, separated by hard silence gaps, whole-signal RMS
     normalized to 0.1."""
-    if duration_s < 0.5:
-        raise InvalidParams(f"duration {duration_s}s too short, need >= 0.5s")
+    if not MIN_DURATION_S <= duration_s <= MAX_DURATION_S:
+        raise InvalidParams(f"duration {duration_s}s outside "
+                            f"[{MIN_DURATION_S}, {MAX_DURATION_S}]s")
     sr = sample_rate_hz
     n = int(round(duration_s * sr))
     rng = np.random.default_rng(np.random.SeedSequence([_TAG_SPEECH, seed]))
@@ -377,6 +385,9 @@ def validate_manifest(manifest: DatasetManifest) -> None:
             raise InvalidManifest(f"{u.utt_id}: negative seed {u.seed}")
         if not -np.inf < u.duration_s < np.inf:  # NaN too; a huge JSON int is finite
             raise InvalidManifest(f"{u.utt_id}: duration_s {u.duration_s} is not finite")
+        if not (u.wav or MIN_DURATION_S <= u.duration_s <= MAX_DURATION_S):
+            raise InvalidManifest(f"{u.utt_id}: duration_s {u.duration_s} outside "
+                                  f"[{MIN_DURATION_S}, {MAX_DURATION_S}]s")
 
     train_noises = {e.noise for e in manifest.entries if e.split == "train"}
     seen_pairs = set()

@@ -1,10 +1,10 @@
 """Monte Carlo dropout inference: stochastic passes over an utterance,
 reduced to the predictive mean and the diagonal predictive variance per
 frame. The passes are neural's one layer loop with kept bits applied,
-the same loop training runs once per step; this module checks tau, sums
-the moments and short-circuits frames whose passes all agree. Masks come
-from the process's kept-bits table, so each mask row is drawn once
-however many sweeps read it."""
+the same loop training runs once per step, here in float32; this module
+checks tau, sums the moments in float64 and short-circuits frames whose
+passes all agree. Masks come from the process's kept-bits table, so each
+mask row is drawn once however many sweeps read it."""
 
 from __future__ import annotations
 
@@ -94,14 +94,16 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     """MC sweep over all frames of an utterance at once.
 
     The passes are neural.inference_passes with kept bits, each one the
-    pass forward trains with; the moments accumulate in place as passes
-    arrive, so memory is O(frames x bins) whatever the pass count. The
-    result is bit-identical to stacking the passes of a plain-numpy
-    reference and reducing them, and equal to rounding to the per-frame
-    reference (one frame at a time, masks pinned by its row); both
+    pass forward trains with, run in float32: GEMMs are most of a sweep,
+    and float32 halves them. Each pass is copied to float64 before the
+    moments accumulate in place, so memory is O(frames x bins) whatever
+    the pass count, and the moments are exact sums of the float32 passes.
+    The result is bit-identical to stacking float32 passes of a
+    plain-numpy reference, upcast, and reducing them; frame k's row of
+    it depends only on frame k, its mask rows and the row count. Both
     oracles live in tests/test_mcdrop.py. A model in which no unit can
-    drop runs one dropout-off pass: its frames all agree, so it returns
-    that pass and tau_inv.
+    drop runs one float64 dropout-off pass, neural.predict's: its frames
+    all agree, so it returns that pass and tau_inv.
 
     Frame k of pass t takes row k of the (cfg.rng_seed, t) stream's
     masks, read as kept bits from neural's process-wide table: a row
@@ -109,24 +111,30 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     sweep with the same seed, width and keep probability.
     """
     _check_tau(model, cfg)
-    n_passes, kept = 1, None
+    n_passes, kept, dtype = 1, None, np.float64
     if model.keep_prob < 1.0 and len(model.weights) > 1:
-        n_passes, p = cfg.n_passes, model.keep_prob
+        n_passes, p, dtype = cfg.n_passes, model.keep_prob, np.float32
         # Asked only after input_rows has checked mag_frames' shape.
         kept = lambda t, l, width: kept_bits(cfg.rng_seed, t, l, len(mag_frames), width, p)
-    passes = inference_passes(model, input_rows(model, mag_frames), n_passes, kept)
+    X = input_rows(model, mag_frames).astype(dtype, copy=False)
+    passes = inference_passes(model, X, n_passes, kept)
+    del X  # the passes drop the rows after layer 0
     for t, (y, _) in enumerate(passes):
         if t == 0:
-            total, total_sq = y.copy(), y * y
+            total = y.astype(np.float64)
+            total_sq, y64 = total * total, np.empty_like(total)
             agree, first = np.arange(len(y)), y.copy()
             continue
         if agree.size:
             # Only frames whose passes all agreed so far can still agree.
             still = np.all(y[agree] == first, axis=1)
             agree, first = agree[still], first[still]
-        total += y
-        y *= y
-        total_sq += y
+        # A float32 product is exact in float64, so the squares and sums
+        # below are those of the stacked passes upcast to float64.
+        np.copyto(y64, y)
+        total += y64
+        y64 *= y64
+        total_sq += y64
 
     # mean(axis=0) over stacked passes adds the slices in pass order and
     # divides by T, so these running sums give the same bits.
@@ -134,7 +142,7 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     means /= n_passes
     variances = total_sq
     variances /= n_passes
-    variances -= np.multiply(means, means, out=y)
+    variances -= np.multiply(means, means, out=y64)
     np.maximum(variances, 0.0, out=variances)
     variances += cfg.tau_inv
 

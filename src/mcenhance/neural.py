@@ -279,29 +279,36 @@ def inference_passes(model: MlpModel, X: np.ndarray, n_passes: int = 1, kept=Non
     pass writes the other layers into buffers allocated once per call.
     The yielded arrays are those buffers, not copies, so the next pass
     overwrites them: read them before asking for it.
+
+    The passes run in X's dtype: the weights, biases, buffers and the
+    1 / keep_prob scale take it, so float64 rows run on the model's own
+    arrays and float32 rows on float32 copies made once per call.
     """
+    dtype = X.dtype
+    weights = [w.astype(dtype, copy=False) for w in model.weights]
+    biases = [b.astype(dtype, copy=False) for b in model.biases]
     h0 = X
-    if len(model.weights) > 1:
-        h0 = relu(X @ model.weights[0].T + model.biases[0])
+    if len(weights) > 1:
+        h0 = relu(X @ weights[0].T + biases[0])
         del X
     n, scale = len(h0), 1.0 / model.keep_prob
     # A dropout-off pass reads h0 itself, so layer 0 needs no buffer.
-    hidden = [np.empty((n, w)) if l or kept is not None else h0
+    hidden = [np.empty((n, w), dtype) if l or kept is not None else h0
               for l, w in enumerate(model.layer_dims[1:-1])]
-    out = np.empty((n, model.out_dim))
+    out = np.empty((n, model.out_dim), dtype)
     relu_out = model.output_activation == "relu"
     for t in range(n_passes):
         h = h0
         for l, m in enumerate(hidden):
             if l:
-                np.matmul(h, model.weights[l].T, out=m)
-                m += model.biases[l]
+                np.matmul(h, weights[l].T, out=m)
+                m += biases[l]
                 h = np.maximum(m, 0.0, out=m)
             if kept is not None:
                 h = np.multiply(h, kept(t, l, m.shape[1]), out=m)
                 m *= scale
-        np.matmul(h, model.weights[-1].T, out=out)
-        out += model.biases[-1]
+        np.matmul(h, weights[-1].T, out=out)
+        out += biases[-1]
         yield np.maximum(out, 0.0, out=out) if relu_out else softmax(out), hidden
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    MAX_DURATION_S,
+    MIN_DURATION_S,
     NOISE_PRESETS,
     DatasetManifest,
     build_dataset,
@@ -135,7 +137,8 @@ _FIELD_CHECKS = {
     "n_train": _COUNT,
     "n_val": _COUNT,
     "n_test": _COUNT,
-    "duration_s": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "duration_s": (lambda v: _is_finite(v) and MIN_DURATION_S <= v <= MAX_DURATION_S,
+                   f"a number in [{MIN_DURATION_S}, {MAX_DURATION_S}]"),
     "policies": (lambda v: len(v) > 0 and all(p in POLICY_NAMES for p in v)
                  and len(set(v)) == len(v),
                  f"a nonempty list of distinct policy names ({', '.join(POLICY_NAMES)})"),

@@ -27,7 +27,9 @@ from .metrics import sse
 from .selection import BankOutputs, ModelBank
 
 SUMMARY_MAGIC = b"MCSS"
-SUMMARY_VERSION = 1
+# Version 2: the MC passes run in float32, so a version 1 summary holds
+# other traces and errors and must be swept again, never served.
+SUMMARY_VERSION = 2
 _KEY_BYTES = 32
 # magic, version, key, M, entry count
 _HEADER_BYTES = 4 + 4 + _KEY_BYTES + 4 + 4

@@ -53,28 +53,33 @@ def float_mask(stream, layer, n_rows, width, keep_prob):
     return (u < keep_prob).astype(np.float64) / keep_prob
 
 
-def reference_pass(model, x, stream=None):
+def reference_pass(model, x, stream=None, dtype=np.float64):
     """Test oracle: one pass of the network in plain numpy, multiplying
     each hidden ReLU by its float_mask where the library applies kept
     bits. Returns (y, zs, hiddens, masks): the output, every layer's
     pre-activation, the normalised input rows followed by each hidden
     layer's output after its mask, and the float masks (None without a
-    stream or at keep_prob 1). The library's passes must have its bytes,
-    inf and NaN included."""
+    stream or at keep_prob 1). The rows are normalised in float64 and
+    cast to dtype, and the pass runs in the dtype of those rows: the
+    weights, biases and float masks are cast to it. The library's passes
+    over the same rows must have its bytes, inf and NaN included."""
     X = np.asarray(x, dtype=np.float64)
     if model.input_mean is not None:
         X = (X - model.input_mean) / model.input_std
+    X = X.astype(dtype)
+    weights = [w.astype(X.dtype) for w in model.weights]
+    biases = [b.astype(X.dtype) for b in model.biases]
     zs, hiddens, masks = [], [X], []
-    for l in range(len(model.weights) - 1):
-        z = hiddens[-1] @ model.weights[l].T + model.biases[l]
+    for l in range(len(weights) - 1):
+        z = hiddens[-1] @ weights[l].T + biases[l]
         mask = None
         if stream is not None and model.keep_prob < 1.0:
-            mask = float_mask(stream, l, len(X), z.shape[1], model.keep_prob)
+            mask = float_mask(stream, l, len(X), z.shape[1], model.keep_prob).astype(X.dtype)
         h = np.maximum(z, 0.0)
         zs.append(z)
         hiddens.append(h if mask is None else h * mask)
         masks.append(mask)
-    z = hiddens[-1] @ model.weights[-1].T + model.biases[-1]
+    z = hiddens[-1] @ weights[-1].T + biases[-1]
     zs.append(z)
     if model.output_activation == "relu":
         return np.maximum(z, 0.0), zs, hiddens, masks

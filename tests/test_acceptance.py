@@ -36,7 +36,7 @@ from mcenhance.pipeline import (
     run_train,
 )
 
-from conftest import ACCEPTANCE_LINES, MINI, random_model
+from conftest import ACCEPTANCE_LINES, MINI, random_model, reference_pass
 
 # The desk-scale criteria take most of a full run; `-m "not acceptance"`
 # leaves them out for a fast inner loop.
@@ -154,10 +154,11 @@ def test_criterion_04_mc_estimators():
         mag = rng.uniform(0.0, 3.0, size=(7, dims[0]))
         cfg = McConfig(n_passes=50, rng_seed=int(rng.integers(1 << 31)))
         sweep = mc_spectral_stats(model, mag, cfg)
+        # The sweep's passes run in float32; their moments are float64.
         samples = np.stack([
-            forward(model, mag, stream=DropoutStream(seed=cfg.rng_seed, pass_index=t,
-                                                     row_offset=0))[0]
-            for t in range(cfg.n_passes)])
+            reference_pass(model, mag, DropoutStream(seed=cfg.rng_seed, pass_index=t),
+                           np.float32)[0]
+            for t in range(cfg.n_passes)]).astype(np.float64)
         bf_mean = samples.mean(axis=0)
         bf_var = (samples ** 2).mean(axis=0) - bf_mean ** 2
         worst = max(worst, float(np.abs(sweep.means - bf_mean).max()),

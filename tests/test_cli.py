@@ -13,7 +13,7 @@ import pytest
 
 import mcenhance
 from conftest import random_model, zero_sample_wavs
-from mcenhance import corpus, mcdrop, pipeline, selection
+from mcenhance import corpus, mcdrop, pipeline, selection, summary
 from mcenhance.cli import main
 from mcenhance.corpus import default_manifest, entries_for, entry_id, open_dataset, save_manifest
 from mcenhance.neural import save_model
@@ -390,7 +390,8 @@ def test_damaged_sweep_summary_is_a_miss(mini_cli, capsys, damage):
     elif damage == "truncate":
         path.write_bytes(raw[:-5])
     elif damage == "version":
-        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:])
+        path.write_bytes(raw[:4] + (summary.SUMMARY_VERSION + 1).to_bytes(4, "little")
+                         + raw[8:])
     else:
         path.unlink()
         path.mkdir()
@@ -534,6 +535,33 @@ def test_non_finite_manifest_duration_exits_3(tmp_path, capsys, duration):
         "--corpus-dir", str(tmp_path / "corpus")])
     assert rc == 3  # InvalidManifest
     assert utt_id in err
+
+
+@pytest.mark.parametrize("duration", ["1e300", "0.3"])
+def test_out_of_range_duration_exits_2(tmp_path, capsys, duration):
+    rc, err = _exit_code_and_err(capsys, [
+        "synth", "--corpus-dir", str(tmp_path / "corpus"), "--n-train", "1",
+        "--n-val", "1", "--n-test", "1", "--duration", duration])
+    assert rc == 2  # InvalidConfig, before any sample is made
+    assert "duration_s" in err and f"{corpus.MAX_DURATION_S}" in err
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("duration", [
+    "1e300", pytest.param("1" + "0" * 400, id="400-digit-int"), "0.3"])
+def test_out_of_range_manifest_duration_exits_3(tmp_path, capsys, duration):
+    manifest = default_manifest(seed=1, n_train=1, n_val=1, n_test=1, duration_s=1.0)
+    utt_id = manifest.utterances[-1].utt_id
+    manifest.utterances[-1].duration_s = 12345.5
+    save_manifest(manifest, tmp_path / "manifest.json")
+    text = (tmp_path / "manifest.json").read_text()
+    (tmp_path / "manifest.json").write_text(text.replace("12345.5", duration))
+    rc, err = _exit_code_and_err(capsys, [
+        "synth", "--manifest", str(tmp_path / "manifest.json"),
+        "--corpus-dir", str(tmp_path / "corpus")])
+    assert rc == 3  # InvalidManifest, before any sample is made
+    assert utt_id in err and f"{corpus.MAX_DURATION_S}" in err
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

@@ -7,6 +7,10 @@ import importlib
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
+from conftest import random_model, reference_pass
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -130,3 +134,42 @@ def test_forward_runs_only_in_training():
                if owner == "forward"]
     assert "inference_passes" in forward
     assert [c for c in forward if c in ("relu", "softmax", "maximum")] == []
+
+
+def float32_owners(path: Path) -> list:
+    """Top-level function (or "" at module level) of every float32 in one
+    module's code: a name, an attribute or a dtype string, not prose."""
+    tree = ast.parse(path.read_text())
+    return [getattr(node, "name", "") for node in tree.body for inner in ast.walk(node)
+            if getattr(inner, "attr", None) == "float32"
+            or getattr(inner, "id", None) == "float32"
+            or getattr(inner, "value", None) == "float32"]
+
+
+def test_one_dtype_and_no_knob_for_it():
+    """The MC passes run in float32 and everything else in float64, with no
+    switch: mc_spectral_stats alone names float32, no config grows a field
+    for it, and the dropout-off pass keeps the float64 reference's bytes."""
+    from mcenhance import mcdrop, pipeline
+    from mcenhance.neural import predict
+
+    package = ROOT / "src" / "mcenhance"
+    owners = [(path.name, owner) for path in sorted(package.glob("*.py"))
+              for owner in float32_owners(path)]
+    assert owners and set(owners) == {("mcdrop.py", "mc_spectral_stats")}
+    assert [f.name for f in fields(mcdrop.McConfig)] == [
+        "n_passes", "tau_inv", "prior_length_scale", "rng_seed"]
+    assert [f.name for f in fields(pipeline.ExperimentConfig)] == [
+        "corpus_dir", "models_dir", "reports_dir", "seed", "n_passes", "mu", "mu_grid",
+        "hidden_dims", "keep_prob", "n_epochs", "batch_size", "learning_rate",
+        "weight_decay", "input_norm", "n_train", "n_val", "n_test", "duration_s",
+        "policies"]
+
+    rng = np.random.default_rng(5)
+    model = random_model(rng, (9, 16, 16, 9), keep_prob=0.8)
+    model.input_mean = rng.uniform(0.5, 1.5, size=9)
+    model.input_std = rng.uniform(0.5, 2.0, size=9)
+    x = rng.uniform(0.0, 2.0, size=(11, 9))
+    got = predict(model, x)
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference_pass(model, x)[0].tobytes()

@@ -11,6 +11,8 @@ from conftest import (
     rows_drawn,
 )
 from mcenhance import neural
+from mcenhance.corpus import mix_at_snr, noise_spec, synth_noise, synth_speech
+from mcenhance.dsp import FrameConfig, stft
 from mcenhance.errors import InvalidConfig, NonFiniteInput
 from mcenhance.mcdrop import (
     McConfig,
@@ -18,19 +20,20 @@ from mcenhance.mcdrop import (
     mc_spectral_stats,
     tau_inverse,
 )
-from mcenhance.neural import DropoutStream, forward
+from mcenhance.neural import DropoutStream, TrainConfig, forward, train_regressor
 
 
 def materialised_stats(model, mag, cfg, row_offset=0):
-    """Stack every pass of reference_pass in one [T, n, bins] array, then
-    reduce it; the oracle the streaming engine must reproduce bit for bit.
-    Frame k takes the masks of row row_offset + k, so one frame with
-    row_offset=i is the per-frame reference for row i of a sweep."""
+    """Stack every float32 pass of reference_pass in one [T, n, bins]
+    array, upcast it to float64, then reduce it; the oracle the streaming
+    engine must reproduce bit for bit. Frame k takes the masks of row
+    row_offset + k (see per_frame_stats)."""
     mag = np.asarray(mag, dtype=np.float64)
-    samples = np.empty((cfg.n_passes, mag.shape[0], model.out_dim))
+    samples = np.empty((cfg.n_passes, mag.shape[0], model.out_dim), np.float32)
     for t in range(cfg.n_passes):
         stream = DropoutStream(seed=cfg.rng_seed, pass_index=t, row_offset=row_offset)
-        samples[t] = reference_pass(model, mag, stream)[0]
+        samples[t] = reference_pass(model, mag, stream, np.float32)[0]
+    samples = samples.astype(np.float64)
     means = samples.mean(axis=0)
     raw = (samples * samples).mean(axis=0) - means * means
     variances = cfg.tau_inv + np.maximum(raw, 0.0)
@@ -38,6 +41,17 @@ def materialised_stats(model, mag, cfg, row_offset=0):
     means[same] = samples[0, same]
     variances[same] = cfg.tau_inv
     return means, variances, variances.sum(axis=1)
+
+
+def per_frame_stats(model, mag, cfg, i):
+    """Per-frame reference for row i of a sweep: frame i on its own masks,
+    row i's, as row 0 of the oracle. The other rows only keep the call's
+    row count: a float32 GEMM row's bits depend on the row count (a
+    one-row call takes another BLAS path), never on the other rows or
+    the row's place among them."""
+    rolled = np.roll(np.asarray(mag, dtype=np.float64), -i, axis=0)
+    means, variances, traces = materialised_stats(model, rolled, cfg, row_offset=i)
+    return means[0], variances[0], traces[0]
 
 
 def test_variance_tau_additivity_is_exact():
@@ -133,10 +147,10 @@ def test_batched_stats_match_per_frame():
     assert sweep.means.shape == (5, 6)
     assert sweep.traces.shape == (5,)
     for i in range(5):
-        means, variances, traces = materialised_stats(model, mag[i:i + 1], cfg, row_offset=i)
-        np.testing.assert_allclose(sweep.means[i], means[0], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(sweep.variances[i], variances[0], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(sweep.traces[i], traces[0], rtol=1e-12, atol=1e-15)
+        means, variances, trace = per_frame_stats(model, mag, cfg, i)
+        np.testing.assert_array_equal(sweep.means[i], means)
+        np.testing.assert_array_equal(sweep.variances[i], variances)
+        assert sweep.traces[i] == trace
 
 
 def assert_sweep_matches_oracle(model, mag, cfg):
@@ -185,21 +199,21 @@ def test_streaming_sweep_short_circuits_frames_where_passes_agree():
     mag = rng.uniform(0.0, 3.0, size=(20, 6))
     mag[::4] = 0.0
     sweep = assert_sweep_matches_oracle(model, mag, cfg)
-    det, _ = forward(model, mag[::4])
+    det = reference_pass(model, mag, dtype=np.float32)[0][::4]
     np.testing.assert_array_equal(sweep.means[::4], det)
-    np.testing.assert_array_equal(sweep.variances[::4], np.full_like(det, cfg.tau_inv))
+    np.testing.assert_array_equal(sweep.variances[::4], np.full(det.shape, cfg.tau_inv))
     assert np.any(sweep.variances > cfg.tau_inv)
 
 
 def test_streaming_sweep_bit_exact_when_hidden_units_overflow():
-    # Huge layer-0 weights push hidden units to inf and to finite values
-    # whose 1/keep_prob rescale overflows; inf - inf in layer 1 makes NaN.
-    # A dropped inf unit is inf * 0 = NaN in forward's mask multiply, so
-    # masking by a fill or a where= would differ here.
+    # Huge layer-0 weights push the float32 passes' hidden units to inf
+    # and to finite values whose 1/keep_prob rescale overflows; inf - inf
+    # in layer 1 makes NaN. A dropped inf unit is inf * 0 = NaN in the
+    # mask multiply, so masking by a fill or a where= would differ here.
     rng = np.random.default_rng(27)
     model = random_model(rng, (6, 10, 10, 5), keep_prob=0.8)
-    model.weights[0][::2] *= 1e308
-    model.weights[0][1::2] *= 1e306
+    model.weights[0][::2] *= 2e38  # float32's largest is 3.4e38
+    model.weights[0][1::2] *= 2e36
     mag = rng.uniform(0.0, 3.0, size=(24, 6))
     mag[::5] = 0.0
     with np.errstate(all="ignore"):
@@ -237,8 +251,9 @@ def test_streaming_sweep_memory_does_not_grow_with_passes():
 
 def test_sweep_allocates_its_pass_buffers_once():
     # Units of U = n * width * 8 bytes. The sweep holds h0, one buffer per
-    # hidden layer, the output, two running sums and pass 0's output,
-    # plus one mask draw in flight (about 3U): 11U at L = 3 hidden layers.
+    # hidden layer, the output and pass 0's output in float32 (U/2 each),
+    # two running sums and each pass's float64 copy (U each), plus one
+    # mask draw in flight (about 3U): 9U at L = 3 hidden layers.
     # A pass that keeps forward's cache (its pre-activations, hiddens and
     # masks) alive into the next pass peaks at about 25U.
     rng = np.random.default_rng(28)
@@ -351,11 +366,42 @@ def test_mc_config_takes_numpy_integers():
     assert (cfg.n_passes, cfg.rng_seed) == (3, 7)
 
 
+def test_float32_sweep_is_within_1e5_of_a_float64_sweep():
+    # A desk-width regressor (257-256x3-257, z-scored) trained for 2 epochs
+    # on two 2 s utterances in seen noises, then swept at T = 50 over 197
+    # frames of a third in an unseen noise. The float64 sweep stacks
+    # float64 reference passes on the same masks.
+    frame = FrameConfig()
+
+    def frames(seed, noise):
+        clean = synth_speech(2.0, seed=seed)
+        noisy, _ = mix_at_snr(clean, synth_noise(noise_spec(noise, seed=seed), 2.0), 0.0)
+        return stft(noisy, frame).magnitude, stft(clean, frame).magnitude
+
+    pairs = [frames(1, "pink_broadband"), frames(2, "babble_proxy")]
+    model, _ = train_regressor(np.concatenate([n for n, _ in pairs]),
+                               np.concatenate([c for _, c in pairs]),
+                               TrainConfig(n_epochs=2, input_norm="zscore"))
+    mag = frames(3, "white")[0]
+    assert mag.shape == (197, 257) and model.layer_dims == [257, 256, 256, 256, 257]
+    cfg = McConfig(n_passes=50, rng_seed=7)
+    sweep = mc_spectral_stats(model, mag, cfg)
+
+    samples = np.stack([reference_pass(model, mag, DropoutStream(seed=7, pass_index=t))[0]
+                        for t in range(cfg.n_passes)])
+    means = samples.mean(axis=0)
+    traces = np.maximum((samples * samples).mean(axis=0) - means * means, 0.0).sum(axis=1)
+    mean_err = np.linalg.norm(sweep.means - means, axis=1) / np.linalg.norm(means, axis=1)
+    assert mean_err.max() <= 1e-5
+    assert np.all(np.abs(sweep.traces - traces) <= 1e-5 * traces)
+    assert traces.min() > 0.0
+
+
 def test_single_pass_sweep_is_one_stochastic_forward():
     rng = np.random.default_rng(12)
     model = random_model(rng, (6, 10, 4), keep_prob=0.7)
     mag = rng.uniform(0.0, 2.0, size=(3, 6))
     sweep = mc_spectral_stats(model, mag, McConfig(n_passes=1, tau_inv=0.5, rng_seed=5))
-    one, _ = forward(model, mag, stream=DropoutStream(seed=5, pass_index=0, row_offset=0))
+    one = reference_pass(model, mag, DropoutStream(seed=5, pass_index=0), np.float32)[0]
     np.testing.assert_array_equal(sweep.means, one)
     np.testing.assert_array_equal(sweep.variances, np.full((3, 4), 0.5))

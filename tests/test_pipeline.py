@@ -533,6 +533,27 @@ def test_summary_hit_equals_miss(mini_system, tmp_path, monkeypatch, swept_repor
     assert (tmp_path / "sweeps" / "test.mcss").exists()  # published by sweep
 
 
+def test_a_version_1_summary_is_swept_again(mini_system, tmp_path, monkeypatch):
+    # Version 1 summaries hold the moments of float64 passes: under
+    # today's key they must be a miss, or a report would mix old numbers
+    # with new ones. Doubled errors show a served file in sweep.csv.
+    cfg = replace(mini_system, reports_dir=str(tmp_path))
+    run_sweep(cfg, "test")
+    expected = (tmp_path / "sweep.csv").read_bytes()
+    path = summary.summary_path(cfg.reports_dir, "test")
+    key, rows = summary.read_summary(path)
+    with monkeypatch.context() as m:
+        m.setattr(summary, "SUMMARY_VERSION", 1)
+        summary.write_summary(path, key, len(rows[0][0]),
+                              [(2 * se, traces, posteriors) for se, traces, posteriors in rows])
+    assert path.read_bytes()[4:8] == (1).to_bytes(4, "little")
+    sweeps = _record_sweeps(monkeypatch)
+    run_sweep(cfg, "test")
+    assert sum(len(models) for _, models in sweeps.values()) > 0
+    assert (tmp_path / "sweep.csv").read_bytes() == expected
+    assert summary.read_summary(path)[0] == key  # republished as version 2
+
+
 def test_sweep_summary_serves_another_mu_grid(mini_system, tmp_path, monkeypatch):
     cfg = replace(mini_system, reports_dir=str(tmp_path))
     run_sweep(cfg, "val")

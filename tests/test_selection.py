@@ -32,7 +32,7 @@ from mcenhance.selection import (
     validate_bank,
 )
 from test_corpus import FUZZ, JSON_VALUES
-from test_mcdrop import materialised_stats
+from test_mcdrop import per_frame_stats
 
 
 def make_bank(rng, n_models=3, in_dim=9, keep_prob=0.7, with_classifier=True):
@@ -153,9 +153,8 @@ def per_frame_select(bank, policy, mc, mag, i):
     masks pinned to row i, routed by the policy's rule."""
     x = mag[i:i + 1]
     posteriors = forward(bank.classifier, x)[0][0]
-    stats = [materialised_stats(m, x, mc_for_model(m, mc), row_offset=i)
-             for m in bank.models]
-    traces = np.array([trace[0] for _, _, trace in stats])
+    stats = [per_frame_stats(m, mag, mc_for_model(m, mc), i) for m in bank.models]
+    traces = np.array([trace for _, _, trace in stats])
     if policy.kind is PolicyKind.VAR_MC or (
             policy.kind is PolicyKind.MU_MC and traces.min() > policy.mu):
         chosen, route = int(np.argmin(traces)), "variance"
@@ -164,7 +163,7 @@ def per_frame_select(bank, policy, mc, mag, i):
     if policy.kind is PolicyKind.CLASSIFIER_CONV:
         out = forward(bank.models[chosen], x)[0][0]
     else:
-        out = stats[chosen][0][0]
+        out = stats[chosen][0]
     return chosen, route, traces, posteriors, out
 
 
