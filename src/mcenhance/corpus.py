@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import (
+    MAX_DURATION_S,
     FrameConfig,
     Signal,
     mix_at_snr,
@@ -42,12 +43,9 @@ _TAG_MIX_SEED = 204
 # 16-bit full scale with one LSB of headroom, so quantization never clips.
 _PEAK_LIMIT = 32767.0 / 32768.0
 
-# Shortest and longest synthesized utterance, in seconds. The upper bound
-# is ten minutes (9.6 M samples at 16 kHz), far above the paper's
-# few-second utterances: a sweep holds all of an utterance's frames at
-# once, and a longer request is refused before any sample is allocated.
+# Shortest synthesized utterance, in seconds; the longest is
+# dsp.MAX_DURATION_S, the bound on every WAV read too.
 MIN_DURATION_S = 0.5
-MAX_DURATION_S = 600.0
 
 
 @dataclass
@@ -521,6 +519,9 @@ def read_cache(path) -> tuple[np.ndarray, np.ndarray]:
     if len(data) != 16 + 8 * n_frames * n_bins:  # also keeps frombuffer from failing
         raise CorruptFile(f"{path}: {len(data)} bytes for {n_frames}x{n_bins} frame pairs")
     body = np.frombuffer(data[16:], dtype="<f4")
+    # Magnitudes are finite and nonnegative; NaN fails both comparisons.
+    if not np.all((body >= 0) & (body < np.inf)):
+        raise CorruptFile(f"{path}: a magnitude is negative or not finite")
     noisy = body[:n_frames * n_bins].reshape(n_frames, n_bins).astype(np.float64)
     clean = body[n_frames * n_bins:].reshape(n_frames, n_bins).astype(np.float64)
     return noisy, clean

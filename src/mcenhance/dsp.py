@@ -21,6 +21,11 @@ from .errors import (
 PCM_SCALE = 32768.0
 # Overlap-add samples with summed squared window below this are muted.
 OLA_FLOOR = 1e-8
+# Longest audio read or synthesized, in seconds: ten minutes (9.6 M
+# samples at 16 kHz), far above the paper's few-second utterances. A sweep
+# holds all of an utterance's frames at once, so longer audio is refused
+# before any of its samples is read or made.
+MAX_DURATION_S = 600.0
 
 
 @dataclass(frozen=True)
@@ -184,25 +189,30 @@ def publish(path, mode: str = "wb", newline: str | None = None):
 
 
 def read_wav(path) -> Signal:
-    """Read a 16 kHz 16-bit PCM mono WAV into [-1, 1] samples."""
+    """Read a 16 kHz 16-bit PCM mono WAV of at most MAX_DURATION_S into
+    [-1, 1] samples."""
     try:
         with wave.open(str(path), "rb") as wf:
             n_channels = wf.getnchannels()
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
             n = wf.getnframes()
+            if n_channels != 1:
+                raise UnsupportedFormat(f"{path}: expected mono, got {n_channels} channels")
+            if sampwidth != 2:
+                raise UnsupportedFormat(
+                    f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
+            if rate != 16000:
+                raise UnsupportedFormat(f"{path}: expected 16000 Hz, got {rate}")
+            # A streamed file's placeholder size is 0, so its samples would go unread.
+            if n == 0:
+                raise UnsupportedFormat(f"{path}: header declares no samples")
+            if n > MAX_DURATION_S * rate:
+                raise UnsupportedFormat(f"{path}: header declares {n / rate:.6g} s, "
+                                        f"longer than {MAX_DURATION_S} s")
             raw = wf.readframes(n)
     except (wave.Error, EOFError) as exc:
         raise UnsupportedFormat(f"{path}: not a readable WAV file ({exc})") from exc
-    if n_channels != 1:
-        raise UnsupportedFormat(f"{path}: expected mono, got {n_channels} channels")
-    if sampwidth != 2:
-        raise UnsupportedFormat(f"{path}: expected 16-bit samples, got {8 * sampwidth}-bit")
-    if rate != 16000:
-        raise UnsupportedFormat(f"{path}: expected 16000 Hz, got {rate}")
-    # A streamed file's placeholder size is 0, so its samples would go unread.
-    if n == 0:
-        raise UnsupportedFormat(f"{path}: header declares no samples")
     # wave returns what the file holds, so a data chunk that ends early (cut
     # at or inside a sample, or a streamed file's placeholder size) is short.
     if len(raw) != n * sampwidth:

@@ -94,14 +94,16 @@ def mc_spectral_stats(model: MlpModel, mag_frames: np.ndarray, cfg: McConfig) ->
     """MC sweep over all frames of an utterance at once.
 
     The passes are neural.inference_passes with kept bits, each one the
-    pass forward trains with, run in float32: GEMMs are most of a sweep,
-    and float32 halves them. Each pass is copied to float64 before the
-    moments accumulate in place, so memory is O(frames x bins) whatever
-    the pass count, and the moments are exact sums of the float32 passes.
+    pass forward trains with, run in float32 and stacked into GEMMs of
+    about neural.STACK_ROWS rows: GEMMs are most of a sweep, float32
+    halves them, and taller GEMMs run faster. The passes still arrive one
+    at a time; each is copied to float64 before the moments accumulate in
+    place, so memory is O((frames + STACK_ROWS) x width) whatever the
+    pass count, and the moments are exact sums of the float32 passes.
     The result is bit-identical to stacking float32 passes of a
-    plain-numpy reference, upcast, and reducing them; frame k's row of
-    it depends only on frame k, its mask rows and the row count. Both
-    oracles live in tests/test_mcdrop.py. A model in which no unit can
+    plain-numpy reference, upcast, and reducing them, whatever the stack
+    height; frame k's row of it depends only on frame k, its mask rows
+    and the row count. Both oracles live in tests/test_mcdrop.py. A model in which no unit can
     drop runs one float64 dropout-off pass, neural.predict's: its frames
     all agree, so it returns that pass and tau_inv.
 

@@ -40,6 +40,21 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Dropout passes stack into GEMMs of about this many rows. One desk sweep
+# (257-256x3-257, T = 50, warm mask table, one thread of a 2 vCPU Xeon,
+# OpenBLAS 0.3.31) took 15.6, 23.9 and 44.5 ms over 47, 97 and 197
+# frames unstacked, and 9.6, 19.1 and 37.6 ms in stacks of 800 rows;
+# stacks of 400-1600 rows were within the host's noise of one another.
+STACK_ROWS = 800
+# On OpenBLAS 0.3.31 on an AVX-512 Xeon, a float32 GEMM with at most this
+# many output cells, an inner size of 32 or more and at most 1e6
+# multiply-adds runs a small-matrix kernel, and a one-row GEMM runs GEMV;
+# both give other bits than the blocked kernel every larger call runs. A
+# pass whose own GEMMs may be that small is not stacked, so a stacked
+# row always has the bits of its pass run alone.
+SMALL_GEMM_CELLS = 1200
+
+
 _INT_TYPES = (int, np.integer)
 
 
@@ -266,23 +281,41 @@ def input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return X
 
 
+def stack_height(n_rows: int, n_passes: int, widths) -> int:
+    """How many passes of n_rows rows inference_passes stacks into one
+    GEMM: about STACK_ROWS rows, at most n_passes, and 1 when a pass's own
+    GEMMs into the given output widths may take BLAS's small-matrix path
+    (see SMALL_GEMM_CELLS), so that stacking never changes a row's bits."""
+    if n_rows < 2 or n_rows * min(widths) <= SMALL_GEMM_CELLS:
+        return 1
+    return max(1, min(n_passes, STACK_ROWS // n_rows))
+
+
 def inference_passes(model: MlpModel, X: np.ndarray, n_passes: int = 1, kept=None):
     """Yield (y, hiddens) for each of n_passes passes over the rows X of
-    input_rows: the network's output [n, out_dim] and each hidden layer's
-    output after its mask. This is the library's one layer loop; forward
-    is its first pass, recorded.
+    input_rows, in pass order: the network's output [n, out_dim] and each
+    hidden layer's output after its mask. This is the library's one layer
+    loop; forward is its first pass, recorded.
 
     kept(t, l, width) gives pass t's kept bits, bool [n, width], for
     hidden layer l, applied as (h * kept) * (1 / keep_prob); kept=None is
     the dropout-off pass. Dropout acts only after hidden ReLUs, so layer 0
-    runs once per call, and the reference to X is dropped after it; each
-    pass writes the other layers into buffers allocated once per call.
-    The yielded arrays are those buffers, not copies, so the next pass
-    overwrites them: read them before asking for it.
+    runs once per call, and the reference to X is dropped after it. The
+    dropout passes run k = stack_height(...) at a time: each of the other
+    layers' GEMMs runs on the k passes' rows stacked, k*n rows, and each
+    pass's n-row slice takes its own kept bits. One buffer per hidden
+    layer and one for the output, k*n rows each, are allocated once per
+    call, so memory is O((n + STACK_ROWS) x width) whatever n_passes is.
+    The yielded arrays are slices of those buffers, not copies, so a later
+    pass overwrites them: read them before asking for the next pass.
 
-    The passes run in X's dtype: the weights, biases, buffers and the
-    1 / keep_prob scale take it, so float64 rows run on the model's own
-    arrays and float32 rows on float32 copies made once per call.
+    A row's bits are those of the same pass run alone: the stacked
+    operations are row-wise, and a GEMM row's bits do not depend on the
+    row count once the pass's own GEMMs take the blocked kernel, which
+    stack_height requires. The passes run in X's dtype: the weights,
+    biases, buffers and the 1 / keep_prob scale take it, so float64 rows
+    run on the model's own arrays and float32 rows on float32 copies made
+    once per call.
     """
     dtype = X.dtype
     weights = [w.astype(dtype, copy=False) for w in model.weights]
@@ -292,24 +325,35 @@ def inference_passes(model: MlpModel, X: np.ndarray, n_passes: int = 1, kept=Non
         h0 = relu(X @ weights[0].T + biases[0])
         del X
     n, scale = len(h0), 1.0 / model.keep_prob
+    k = 1
+    if kept is not None and len(weights) > 1:
+        k = stack_height(n, n_passes, model.layer_dims[2:])
     # A dropout-off pass reads h0 itself, so layer 0 needs no buffer.
-    hidden = [np.empty((n, w), dtype) if l or kept is not None else h0
+    hidden = [np.empty((k * n, w), dtype) if l or kept is not None else h0
               for l, w in enumerate(model.layer_dims[1:-1])]
-    out = np.empty((n, model.out_dim), dtype)
+    out = np.empty((k * n, model.out_dim), dtype)
     relu_out = model.output_activation == "relu"
-    for t in range(n_passes):
+    for t0 in range(0, n_passes, k):
+        slices = [slice(j * n, (j + 1) * n) for j in range(min(k, n_passes - t0))]
+        rows = len(slices) * n
         h = h0
         for l, m in enumerate(hidden):
+            m = m[:rows]
             if l:
                 np.matmul(h, weights[l].T, out=m)
                 m += biases[l]
                 h = np.maximum(m, 0.0, out=m)
             if kept is not None:
-                h = np.multiply(h, kept(t, l, m.shape[1]), out=m)
+                for j, s in enumerate(slices):
+                    np.multiply(h[s] if l else h, kept(t0 + j, l, m.shape[1]), out=m[s])
+                h = m
                 m *= scale
-        np.matmul(h, weights[-1].T, out=out)
-        out += biases[-1]
-        yield np.maximum(out, 0.0, out=out) if relu_out else softmax(out), hidden
+        y = out[:rows]
+        np.matmul(h, weights[-1].T, out=y)
+        y += biases[-1]
+        y = np.maximum(y, 0.0, out=y) if relu_out else softmax(y)
+        for s in slices:
+            yield y[s], [m[s] for m in hidden]
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -639,6 +683,8 @@ def load_model(path) -> MlpModel:
     if len(body) != 8 * n_params:
         raise CorruptFile(f"{path}: expected {8 * n_params} parameter bytes, got {len(body)}")
     flat = np.frombuffer(body, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise CorruptFile(f"{path}: a parameter is not finite")
 
     weights, biases = [], []
     pos = 0
@@ -652,6 +698,9 @@ def load_model(path) -> MlpModel:
         input_mean = flat[pos:pos + layer_dims[0]].copy()
         pos += layer_dims[0]
         input_std = flat[pos:pos + layer_dims[0]].copy()
+        # Training floors every std at 1e-8; the z-score divides by it.
+        if not np.all(input_std > 0):
+            raise CorruptFile(f"{path}: an input std is not positive")
 
     return MlpModel(weights=weights, biases=biases, input_mean=input_mean,
                     input_std=input_std, **header)

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -562,6 +563,27 @@ def test_out_of_range_manifest_duration_exits_3(tmp_path, capsys, duration):
     assert rc == 3  # InvalidManifest, before any sample is made
     assert utt_id in err and f"{corpus.MAX_DURATION_S}" in err
     assert not (tmp_path / "corpus").exists()
+
+
+def test_enhance_input_longer_than_the_bound_exits_3(mini_cli, capsys, monkeypatch):
+    cfg, flags, tmp = mini_cli
+    long_wav = tmp / "long.wav"
+    with wave.open(str(long_wav), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(bytes(2 * (16000 * int(corpus.MAX_DURATION_S) + 1)))
+
+    def unbounded(*args):
+        raise AssertionError("the samples were read and framed")
+
+    monkeypatch.setattr(pipeline, "stft", unbounded)
+    out = tmp / "long_out.wav"
+    rc, err = _exit_code_and_err(capsys, ["enhance", *flags, "single-conv",
+                                          str(long_wav), str(out)])
+    assert rc == 3  # refused from the header, before any sample is read
+    assert "long.wav" in err and f"{corpus.MAX_DURATION_S}" in err
+    assert not out.exists()
 
 
 def test_non_utf8_manifest_exits_3(tmp_path, capsys):

@@ -16,6 +16,7 @@ from mcenhance.corpus import (
     build_dataset,
     default_manifest,
     entries_for,
+    entry_dir,
     entry_id,
     load_entry_frames,
     load_entry_signals,
@@ -282,6 +283,29 @@ def test_cache_corruption_detected(tmp_path):
     version.write_bytes(raw[:4] + (9).to_bytes(4, "little") + raw[8:])
     with pytest.raises(VersionMismatch):
         read_cache(version)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("block", ["noisy", "clean"])
+def test_cache_with_a_bad_magnitude_is_corrupt(tmp_path, value, block):
+    noisy, clean = np.ones((3, 4)), np.ones((3, 4))
+    (noisy if block == "noisy" else clean)[2, 1] = value
+    path = tmp_path / "f.mcfr"
+    write_cache(path, noisy, clean)
+    with pytest.raises(CorruptFile, match="f.mcfr"):
+        read_cache(path)
+
+
+def test_a_corrupt_frame_cache_is_corpus_data(tmp_path):
+    manifest = default_manifest(seed=1, n_train=1, n_val=1, n_test=1, duration_s=1.0)
+    entry = manifest.entries[0]
+    clean = np.ones((3, 4))
+    clean[0, 0] = np.nan
+    path = entry_dir(tmp_path, entry) / "frames.mcfr"
+    path.parent.mkdir(parents=True)
+    write_cache(path, np.ones((3, 4)), clean)
+    with pytest.raises(CorruptCorpus, match="frames.mcfr"):
+        load_entry_frames(tmp_path, entry)
 
 
 @pytest.fixture(scope="module")

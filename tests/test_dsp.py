@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import zero_sample_wavs
+from mcenhance import dsp
 from mcenhance.dsp import (
     FrameConfig,
     Signal,
@@ -196,6 +197,17 @@ def test_read_wav_rejects_other_formats(tmp_path):
     for path in zero_sample_wavs(tmp_path):
         with pytest.raises(UnsupportedFormat, match=path.name):
             read_wav(path)
+
+
+def test_read_wav_refuses_a_file_longer_than_the_bound(tmp_path, monkeypatch):
+    # The bound is read from the header, so a 0.1 s bound shows it on
+    # small files: 1600 samples load, 1601 do not.
+    monkeypatch.setattr(dsp, "MAX_DURATION_S", 0.1)
+    for n in (1600, 1601):
+        write_wav(tmp_path / f"{n}.wav", Signal(np.zeros(n), 16000))
+    assert len(read_wav(tmp_path / "1600.wav")) == 1600
+    with pytest.raises(UnsupportedFormat, match=r"1601\.wav.*0\.1 s"):
+        read_wav(tmp_path / "1601.wav")
 
 
 def test_write_wav_clips_out_of_range(tmp_path):

@@ -20,7 +20,13 @@ from mcenhance.mcdrop import (
     mc_spectral_stats,
     tau_inverse,
 )
-from mcenhance.neural import DropoutStream, TrainConfig, forward, train_regressor
+from mcenhance.neural import (
+    STACK_ROWS,
+    DropoutStream,
+    TrainConfig,
+    forward,
+    train_regressor,
+)
 
 
 def materialised_stats(model, mag, cfg, row_offset=0):
@@ -233,27 +239,39 @@ def test_sweep_without_dropout_is_the_deterministic_pass(dims):
     np.testing.assert_array_equal(sweep.variances, np.zeros_like(det))
 
 
-def test_streaming_sweep_memory_does_not_grow_with_passes():
-    rng = np.random.default_rng(24)
-    model = random_model(rng, (64, 48, 48, 64), keep_prob=0.8)
-    n, T = 300, 64
-    mag = rng.uniform(0.0, 2.0, size=(n, 64))
-    mc_spectral_stats(model, mag, McConfig(n_passes=2))  # warm caches
+def _sweep_peak(model, mag, n_passes) -> int:
     tracemalloc.start()
     try:
-        mc_spectral_stats(model, mag, McConfig(n_passes=T))
-        _, peak = tracemalloc.get_traced_memory()
+        mc_spectral_stats(model, mag, McConfig(n_passes=n_passes))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_streaming_sweep_memory_does_not_grow_with_passes():
+    # 47 frames stack 800 // 47 = 17 passes at a time, so the pass buffers
+    # hold at most STACK_ROWS + n rows whatever T is.
+    rng = np.random.default_rng(24)
+    model = random_model(rng, (64, 48, 48, 64), keep_prob=0.8)
+    n, T = 47, 256
+    mag = rng.uniform(0.0, 2.0, size=(n, 64))
+    assert neural.stack_height(n, T, model.layer_dims[2:]) == 17
+    mc_spectral_stats(model, mag, McConfig(n_passes=T))  # warm caches
+    peaks = {t: _sweep_peak(model, mag, t) for t in (17, T)}
+    assert peaks[T] < 1.05 * peaks[17]
+    # Float32 buffers of STACK_ROWS + n rows for every layer past layer 0,
+    # at twice their size.
+    assert peaks[T] < 8 * (neural.STACK_ROWS + n) * sum(model.layer_dims[1:])
     # Stacking the passes alone would take 8*T*n*bins bytes.
-    assert peak < 8 * T * n * model.out_dim / 2
+    assert peaks[T] < 8 * T * n * model.out_dim / 4
 
 
 def test_sweep_allocates_its_pass_buffers_once():
-    # Units of U = n * width * 8 bytes. The sweep holds h0, one buffer per
-    # hidden layer, the output and pass 0's output in float32 (U/2 each),
-    # two running sums and each pass's float64 copy (U each), plus one
-    # mask draw in flight (about 3U): 9U at L = 3 hidden layers.
+    # Units of U = n * width * 8 bytes. 300 frames stack 2 passes, so the
+    # sweep holds h0 and pass 0's output (U/2 each), one buffer per hidden
+    # layer and the output for 2n float32 rows (U each), two running sums
+    # and each pass's float64 copy (U each), plus one mask draw in flight
+    # (about 3U): 11U at L = 3 hidden layers.
     # A pass that keeps forward's cache (its pre-activations, hiddens and
     # masks) alive into the next pass peaks at about 25U.
     rng = np.random.default_rng(28)
@@ -405,3 +423,53 @@ def test_single_pass_sweep_is_one_stochastic_forward():
     one = reference_pass(model, mag, DropoutStream(seed=5, pass_index=0), np.float32)[0]
     np.testing.assert_array_equal(sweep.means, one)
     np.testing.assert_array_equal(sweep.variances, np.full((3, 4), 0.5))
+
+
+def _stacked_sweeps(monkeypatch, model, mag, n_passes) -> dict:
+    """mc_spectral_stats bytes with one pass per GEMM, the default stack
+    and all passes in one stack, keyed by the stack height each ran."""
+    got = {}
+    for rows in (1, STACK_ROWS, 10 ** 9):
+        monkeypatch.setattr(neural, "STACK_ROWS", rows)
+        k = neural.stack_height(len(mag), n_passes, model.layer_dims[2:])
+        sweep = mc_spectral_stats(model, mag, McConfig(n_passes=n_passes, rng_seed=6))
+        got[k] = sweep.means.tobytes() + sweep.variances.tobytes() + sweep.traces.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("output", ["relu", "softmax"])
+def test_sweep_bytes_do_not_depend_on_stack_height(monkeypatch, output):
+    rng = np.random.default_rng(30)
+    if output == "relu":
+        model = random_model(rng, (257, 256, 256, 256, 257), keep_prob=0.8, scale=0.06)
+        model.input_mean = rng.uniform(0.5, 1.5, size=257)
+        model.input_std = rng.uniform(0.5, 2.0, size=257)
+    else:
+        model = random_model(rng, (257, 256, 256, 8), "softmax", keep_prob=0.8, scale=0.06)
+    heights = set()
+    for n in (5, 47, 97, 197, 397):
+        mag = rng.uniform(0.0, 3.0, size=(n, 257))
+        for T in (1, 2, 8, 50):
+            got = _stacked_sweeps(monkeypatch, model, mag, T)
+            assert len(set(got.values())) == 1, (n, T, sorted(got))
+            heights |= set(got)
+    # A softmax pass over 8 classes is not stacked below 151 frames.
+    assert heights == ({1, 2, 4, 8, 17, 50} if output == "relu" else {1, 2, 4, 8, 50})
+
+
+@pytest.mark.parametrize("dims, n, k", [
+    ((257, 256, 256, 256, 257), 1, 1), ((257, 256, 256, 256, 257), 2, 1),
+    ((257, 256, 256, 256, 257), 4, 1), ((257, 256, 256, 256, 257), 5, 50),
+    ((257, 256, 256, 8), 150, 1), ((257, 256, 256, 8), 151, 5),
+    ((40, 64, 64, 64), 18, 1), ((40, 64, 64, 64), 19, 42),
+])
+def test_a_pass_whose_gemms_are_small_is_not_stacked(dims, n, k):
+    # At desk width, 1-4 frames give a pass GEMMs of at most 1200 output
+    # cells, as 150 frames do for 8 classes and 18 frames for 64 units;
+    # OpenBLAS runs those on other kernels than a taller stack, so such a
+    # sweep runs one pass per GEMM and keeps the unstacked oracle's bits.
+    rng = np.random.default_rng(31)
+    model = random_model(rng, dims, keep_prob=0.8, scale=0.06)
+    assert neural.stack_height(n, 50, dims[2:]) == k
+    mag = rng.uniform(0.0, 3.0, size=(n, dims[0]))
+    assert_sweep_matches_oracle(model, mag, McConfig(n_passes=50, rng_seed=2))

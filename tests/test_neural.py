@@ -637,6 +637,30 @@ def test_model_file_corruption_detected(tmp_path):
         load_model(version)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_file_with_a_non_finite_parameter_is_corrupt(tmp_path, value):
+    rng = np.random.default_rng(55)
+    model = random_model(rng, (3, 5, 2))
+    model.weights[1][1, 2] = value
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    with pytest.raises(CorruptFile, match="m.model"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("std", [[0.0, 0.0, 0.0], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0]])
+def test_model_file_with_a_non_positive_input_std_is_corrupt(tmp_path, std):
+    # The z-score divides by input_std, which training floors at 1e-8.
+    rng = np.random.default_rng(56)
+    model = random_model(rng, (3, 5, 2))
+    model.input_mean = np.zeros(3)
+    model.input_std = np.array(std)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    with pytest.raises(CorruptFile, match="m.model"):
+        load_model(path)
+
+
 def _with_header(raw, edit):
     """Model bytes with the JSON header replaced by edit(header)."""
     hlen = int.from_bytes(raw[8:12], "little")
