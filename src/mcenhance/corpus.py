@@ -507,9 +507,11 @@ def write_cache(path, noisy_mag: np.ndarray, clean_mag: np.ndarray) -> None:
 
 
 def read_cache(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (noisy_mag, clean_mag) upcast to float64."""
+    """Returns (noisy_mag, clean_mag), the file's float32 blocks as they
+    are, not copied to float64: training runs on float32 rows, and every
+    other reader upcasts them exactly."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = bytearray(fh.read())  # so the returned blocks are writable
     if len(data) < 16 or data[:4] != CACHE_MAGIC:
         raise CorruptFile(f"{path}: bad magic")
     version = int(np.frombuffer(data[4:8], dtype="<u4")[0])
@@ -518,13 +520,12 @@ def read_cache(path) -> tuple[np.ndarray, np.ndarray]:
     n_frames, n_bins = (int(v) for v in np.frombuffer(data[8:16], dtype="<u4"))
     if len(data) != 16 + 8 * n_frames * n_bins:  # also keeps frombuffer from failing
         raise CorruptFile(f"{path}: {len(data)} bytes for {n_frames}x{n_bins} frame pairs")
-    body = np.frombuffer(data[16:], dtype="<f4")
+    body = np.frombuffer(data, dtype="<f4", offset=16)
     # Magnitudes are finite and nonnegative; NaN fails both comparisons.
     if not np.all((body >= 0) & (body < np.inf)):
         raise CorruptFile(f"{path}: a magnitude is negative or not finite")
-    noisy = body[:n_frames * n_bins].reshape(n_frames, n_bins).astype(np.float64)
-    clean = body[n_frames * n_bins:].reshape(n_frames, n_bins).astype(np.float64)
-    return noisy, clean
+    n = n_frames * n_bins
+    return body[:n].reshape(n_frames, n_bins), body[n:].reshape(n_frames, n_bins)
 
 
 def _clean_signal(utt: Utterance, sr: int) -> Signal:
@@ -600,6 +601,8 @@ def entry_dir(dataset_dir, entry: MixEntry) -> Path:
 
 
 def load_entry_frames(dataset_dir, entry: MixEntry) -> tuple[np.ndarray, np.ndarray]:
+    """An entry's (noisy_mag, clean_mag) frames [n_frames, n_bins], float32
+    as its frame cache holds them (see read_cache)."""
     cache = entry_dir(dataset_dir, entry) / "frames.mcfr"
     if not cache.exists():
         raise MissingCorpus(f"no frame cache at {cache}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,6 +63,15 @@ def is_int(v) -> bool:
     return isinstance(v, _INT_TYPES) and not isinstance(v, bool)
 
 
+def is_finite_number(v) -> bool:
+    """True for a finite Python or numpy real that is not a bool."""
+    try:
+        return (isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool) and math.isfinite(v))
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def _check_index(name: str, value) -> None:
     if not (is_int(value) and value >= 0):
         raise InvalidConfig(f"{name} must be an integer >= 0, got {value!r}")
@@ -86,6 +95,22 @@ class DropoutStream:
         _check_index("row_offset", self.row_offset)
 
 
+# Accepted values per TrainConfig field, as (test, description). The CLI
+# checks its config keys of the same names by these rules too, so a value
+# either trains a model load_model accepts or is refused up front.
+TRAIN_FIELD_CHECKS = {
+    "learning_rate": (lambda v: is_finite_number(v) and v > 0, "a finite number > 0"),
+    "weight_decay": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "batch_size": (lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+    "n_epochs": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "rng_seed": (lambda v: is_int(v) and v >= 0, "an integer >= 0"),
+    "hidden_dims": (lambda v: all(is_int(d) and d > 0 for d in v),
+                    "a list of positive integers"),
+    "keep_prob": (lambda v: is_finite_number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "input_norm": (lambda v: v in ("none", "zscore"), "'none' or 'zscore'"),
+}
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -98,12 +123,11 @@ class TrainConfig:
     input_norm: str = "none"  # or "zscore"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must be in (0, 1]")
-        if self.input_norm not in ("none", "zscore"):
-            raise ValueError(f"unknown input_norm {self.input_norm!r}")
+        for f in fields(self):
+            test, what = TRAIN_FIELD_CHECKS[f.name]
+            value = getattr(self, f.name)
+            if not test(value):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -269,15 +293,19 @@ def kept_bits(seed: int, pass_index: int, layer_index: int, n_rows: int,
 
 
 def input_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Checked, normalised input rows [n, in_dim]: what inference_passes
-    takes."""
-    X = np.asarray(x, dtype=np.float64)
+    """Checked, normalised input rows [n, in_dim] in the dtype of the
+    model's weights: what inference_passes takes. The z-score runs in
+    float64, before the rows take that dtype, so a float64 model reads
+    any rows in float64, and training's float32 working copy (which has
+    no z-score: _fit applies it once) reads float32 rows without a copy."""
+    dtype = model.weights[0].dtype
+    X = np.asarray(x, dtype=np.float64 if model.input_mean is not None else dtype)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
         raise DimensionMismatch(f"input shape {X.shape}, expected [rows, {model.in_dim}]")
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("input contains NaN or inf")
     if model.input_mean is not None:
-        X = (X - model.input_mean) / model.input_std
+        X = ((X - model.input_mean) / model.input_std).astype(dtype, copy=False)
     return X
 
 
@@ -390,7 +418,9 @@ def forward(
 def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradients:
     """Backpropagate dL/dy through the recorded pass (the kept bits
     applied to delta as in the pass, (delta * kept) * (1 / keep_prob);
-    ReLU subgradient 0 at 0).
+    ReLU subgradient 0 at 0), in the dtype of the recorded pass: grad_y
+    takes it, so a float32 pass has float32 gradients. Each layer's delta
+    is flushed to zero below the dtype's smallest normal.
 
     A ReLU's gate is its recorded output > 0: a kept unit holds
     relu(z) / keep_prob with 1 / keep_prob >= 1, which is > 0 exactly when
@@ -399,7 +429,7 @@ def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradie
     """
     if cache.layer_dims != tuple(model.layer_dims):
         raise CacheMismatch(f"cache dims {cache.layer_dims} vs model {tuple(model.layer_dims)}")
-    G = np.asarray(grad_y, dtype=np.float64)
+    G = np.asarray(grad_y, dtype=cache.y.dtype)
     if G.shape != cache.y.shape:
         raise CacheMismatch(f"grad shape {G.shape} vs output {cache.y.shape}")
 
@@ -412,7 +442,14 @@ def backward(model: MlpModel, cache: ForwardCache, grad_y: np.ndarray) -> Gradie
     n_layers = len(model.weights)
     dweights = [None] * n_layers
     dbiases = [None] * n_layers
+    tiny = np.finfo(delta.dtype).tiny
     for l in range(n_layers - 1, -1, -1):
+        # Subnormal operands slow a GEMM several times over, and a confident
+        # classifier's float32 deltas fall below the smallest normal (1.2e-38)
+        # by the hundred each step. A gradient that small moves no weight, so
+        # each layer's delta is flushed to zero there before its GEMMs (a
+        # product, not a masked store: most deltas are ReLU zeros).
+        delta *= np.abs(delta) >= tiny
         dweights[l] = delta.T @ cache.hiddens[l]
         dbiases[l] = delta.sum(axis=0)
         if l > 0:
@@ -440,9 +477,18 @@ def msle_loss(s_hat: np.ndarray, s: np.ndarray) -> float:
 
 
 def msle_grad(s_hat: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gradient of msle_loss with respect to s_hat (same batch mean)."""
+    """Gradient of msle_loss with respect to s_hat (same batch mean), in
+    the dtype of its arguments."""
+    return _msle_batch(s_hat, s)[1]
+
+
+def _msle_batch(s_hat: np.ndarray, s: np.ndarray) -> tuple[float, np.ndarray]:
+    """A training batch's msle_loss and msle_grad from one log difference
+    (squaring ignores its sign), in the dtype of the arguments. It skips
+    msle_loss's checks: train_regressor checked the targets once, and a
+    ReLU output is never negative."""
     d = np.log1p(s_hat) - np.log1p(s)
-    return 2.0 * d / (1.0 + s_hat) / d.size
+    return float(np.mean(d * d)), 2.0 * d / (1.0 + s_hat) / d.size
 
 
 def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -452,13 +498,19 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """dL/dprobs; composed with the softmax Jacobian in backward this
-    yields the usual (p - onehot)/n output delta."""
+    """dL/dprobs, in the dtype of probs; composed with the softmax
+    Jacobian in backward this yields the usual (p - onehot)/n output
+    delta."""
     n = probs.shape[0]
     g = np.zeros_like(probs)
     idx = np.arange(n)
     g[idx, labels] = -1.0 / (n * np.clip(probs[idx, labels], _CE_CLAMP, None))
     return g
+
+
+def _cross_entropy_batch(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """A training batch's cross_entropy_loss and cross_entropy_grad."""
+    return cross_entropy_loss(probs, labels), cross_entropy_grad(probs, labels)
 
 
 def init_adam_state(model: MlpModel) -> AdamState:
@@ -468,7 +520,9 @@ def init_adam_state(model: MlpModel) -> AdamState:
 
 
 def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place, in the dtype of each
+    parameter: its gradient and moments must have that dtype, since an
+    in-place update would cast a wider one silently."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeMismatch("params/grads/state length mismatch")
     state.t += 1
@@ -478,6 +532,9 @@ def adam_step(params: list, grads: list, state: AdamState, cfg: TrainConfig) -> 
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeMismatch(f"param {p.shape} vs grad {g.shape}")
+        for name, a in (("grad", g), ("first moment", m), ("second moment", v)):
+            if a.dtype != p.dtype:
+                raise ShapeMismatch(f"param dtype {p.dtype} vs {name} dtype {a.dtype}")
         if cfg.weight_decay:
             g = g + cfg.weight_decay * p
         m *= b1
@@ -492,16 +549,22 @@ def _fit(
     targets: np.ndarray,
     out_dim: int,
     output_activation: str,
-    loss_fn,
-    grad_fn,
+    batch_loss,
     cfg: TrainConfig,
     noise_label: str,
 ) -> tuple[MlpModel, list]:
     """Build a network on checked input rows and train it with Adam on
-    shuffled minibatches; loss_fn/grad_fn(y, targets) score the outputs of
-    a batch against its rows of targets. Returns the model and the loss
-    history: the pre-training loss under deterministic inference, then one
-    entry per epoch."""
+    shuffled minibatches; batch_loss(y, targets) gives the loss of a
+    batch's outputs against its rows of targets and its gradient. Returns
+    the model and the loss history: the pre-training loss under
+    deterministic inference, then one entry per epoch.
+
+    Training runs in float32, with no switch. The z-score statistics are
+    float64, and the rows are z-scored in float64 once per fit, then cast
+    to float32 once, as are regression targets. The steps run on float32
+    copies of the parameters, with float32 Adam moments, and at the end
+    the weights are upcast, exactly, into the float64 model that
+    save_model writes."""
     n = inputs.shape[0]
     model = init_model(
         [inputs.shape[1], *cfg.hidden_dims, out_dim],
@@ -512,14 +575,23 @@ def _fit(
         noise_label=noise_label,
     )
     model.n_train_frames = n
+    rows = inputs
     if cfg.input_norm == "zscore":
-        model.input_mean = inputs.mean(axis=0)
-        model.input_std = np.maximum(inputs.std(axis=0), 1e-8)
+        model.input_mean = inputs.mean(axis=0, dtype=np.float64)
+        model.input_std = np.maximum(inputs.std(axis=0, dtype=np.float64), 1e-8)
+        rows = inputs - model.input_mean
+        rows /= model.input_std
+    rows = rows.astype(np.float32, copy=False)
+    if targets.dtype.kind == "f":  # class labels stay integers
+        targets = targets.astype(np.float32, copy=False)
+    work = replace(model, weights=[w.astype(np.float32) for w in model.weights],
+                   biases=[b.astype(np.float32) for b in model.biases],
+                   input_mean=None, input_std=None)
 
     rng = np.random.default_rng(np.random.SeedSequence([_TAG_SHUFFLE, cfg.rng_seed]))
-    state = init_adam_state(model)
-    params = model.weights + model.biases
-    losses = [loss_fn(predict(model, inputs), targets)]
+    state = init_adam_state(work)
+    params = work.weights + work.biases
+    losses = [batch_loss(predict(work, rows), targets)[0]]
     for _ in range(cfg.n_epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
@@ -527,13 +599,22 @@ def _fit(
             idx = perm[start:start + cfg.batch_size]
             # Step k draws its dropout masks from pass k of the run's stream.
             stream = DropoutStream(seed=cfg.rng_seed, pass_index=state.t)
-            y, cache = forward(model, inputs[idx], stream=stream)
-            batch_targets = targets[idx]
-            epoch_loss += loss_fn(y, batch_targets) * len(idx)
-            grads = backward(model, cache, grad_fn(y, batch_targets))
+            y, cache = forward(work, rows[idx], stream=stream)
+            loss, grad_y = batch_loss(y, targets[idx])
+            epoch_loss += loss * len(idx)
+            grads = backward(work, cache, grad_y)
             adam_step(params, grads.dweights + grads.dbiases, state, cfg)
         losses.append(epoch_loss / n)
+    model.weights = [w.astype(np.float64) for w in work.weights]
+    model.biases = [b.astype(np.float64) for b in work.biases]
     return model, losses
+
+
+def _float_rows(a) -> np.ndarray:
+    """a as an array of floats: a float array as it is, so that float32
+    frames are not copied to float64, anything else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
 
 
 def train_regressor(
@@ -541,16 +622,15 @@ def train_regressor(
 ) -> tuple[MlpModel, list]:
     """Fit a spectral regressor on (noisy, clean) magnitude frame pairs
     with the MSLE loss; returns the model and the loss history (see _fit)."""
-    noisy_mag = np.asarray(noisy_mag, dtype=np.float64)
-    clean_mag = np.asarray(clean_mag, dtype=np.float64)
+    noisy_mag, clean_mag = _float_rows(noisy_mag), _float_rows(clean_mag)
     if noisy_mag.size == 0 or clean_mag.size == 0:
         raise EmptyDataset("no training frames")
     if noisy_mag.shape != clean_mag.shape or noisy_mag.ndim != 2:
         raise DimensionMismatch(f"{noisy_mag.shape} vs {clean_mag.shape}")
     if np.any(noisy_mag < 0) or np.any(clean_mag < 0):
         raise NegativeSpectrum("training spectra must be nonnegative")
-    return _fit(noisy_mag, clean_mag, noisy_mag.shape[1], "relu",
-                msle_loss, msle_grad, cfg, noise_label)
+    return _fit(noisy_mag, clean_mag, noisy_mag.shape[1], "relu", _msle_batch,
+                cfg, noise_label)
 
 
 def train_classifier(
@@ -562,7 +642,7 @@ def train_classifier(
 ) -> tuple[MlpModel, list]:
     """Fit a softmax noise classifier on labeled magnitude frames with the
     cross-entropy loss; returns the model and the loss history (see _fit)."""
-    mag_frames = np.asarray(mag_frames, dtype=np.float64)
+    mag_frames = _float_rows(mag_frames)
     labels = np.asarray(labels, dtype=np.int64)
     if mag_frames.size == 0:
         raise EmptyDataset("no training frames")
@@ -570,8 +650,8 @@ def train_classifier(
         raise DimensionMismatch(f"{mag_frames.shape} vs labels {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= n_classes):
         raise LabelOutOfRange(f"labels must lie in [0, {n_classes})")
-    return _fit(mag_frames, labels, n_classes, "softmax",
-                cross_entropy_loss, cross_entropy_grad, cfg, noise_label)
+    return _fit(mag_frames, labels, n_classes, "softmax", _cross_entropy_batch,
+                cfg, noise_label)
 
 
 def save_model(model: MlpModel, path) -> None:

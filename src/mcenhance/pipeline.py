@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -31,8 +30,10 @@ from .errors import EmptyDataset, InvalidConfig, MissingModels
 from .mcdrop import McConfig, mc_for_model, mc_spectral_stats
 from .metrics import sse, ssnr, threshold_sweep, variance_error_correlation
 from .neural import (
+    TRAIN_FIELD_CHECKS,
     MlpModel,
     TrainConfig,
+    is_finite_number,
     is_int,
     load_model,
     predict,
@@ -101,43 +102,31 @@ class ExperimentConfig:
     policies: tuple = POLICY_NAMES
 
 
-def _is_finite(v) -> bool:
-    try:
-        return (isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool) and math.isfinite(v))
-    except OverflowError:  # an int beyond float range
-        return False
-
-
 _STRING = (lambda v: isinstance(v, str), "a string")
 _COUNT = (lambda v: is_int(v) and v >= 0, "an integer >= 0")
 _POSITIVE = (lambda v: is_int(v) and v >= 1, "an integer >= 1")
 
 # Accepted values per config field, as (test, description). The ranges
 # are those the constructors downstream enforce, checked up front so a
-# bad value is a config error rather than a failure deep inside a verb.
+# bad value is a config error rather than a failure deep inside a verb;
+# the training fields take TrainConfig's own rules.
 _FIELD_CHECKS = {
     "corpus_dir": _STRING,
     "models_dir": _STRING,
     "reports_dir": _STRING,
     "seed": _COUNT,
     "n_passes": _POSITIVE,
-    "mu": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-    "mu_grid": (lambda v: len(v) > 0 and all(_is_finite(m) and m >= 0 for m in v)
+    "mu": (lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "mu_grid": (lambda v: len(v) > 0 and all(is_finite_number(m) and m >= 0 for m in v)
                 and all(a <= b for a, b in zip(v, v[1:])),
                 "a nonempty ascending list of finite numbers >= 0"),
-    "hidden_dims": (lambda v: all(is_int(d) and d > 0 for d in v),
-                    "a list of positive integers"),
-    "keep_prob": (lambda v: _is_finite(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "n_epochs": _COUNT,
-    "batch_size": _POSITIVE,
-    "learning_rate": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
-    "weight_decay": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
-    "input_norm": (lambda v: v in ("none", "zscore"), "'none' or 'zscore'"),
+    **{key: TRAIN_FIELD_CHECKS[key] for key in (
+        "hidden_dims", "keep_prob", "n_epochs", "batch_size", "learning_rate",
+        "weight_decay", "input_norm")},
     "n_train": _COUNT,
     "n_val": _COUNT,
     "n_test": _COUNT,
-    "duration_s": (lambda v: _is_finite(v) and MIN_DURATION_S <= v <= MAX_DURATION_S,
+    "duration_s": (lambda v: is_finite_number(v) and MIN_DURATION_S <= v <= MAX_DURATION_S,
                    f"a number in [{MIN_DURATION_S}, {MAX_DURATION_S}]"),
     "policies": (lambda v: len(v) > 0 and all(p in POLICY_NAMES for p in v)
                  and len(set(v)) == len(v),

@@ -259,7 +259,7 @@ def test_cache_roundtrip(tmp_path):
     path = tmp_path / "f.mcfr"
     write_cache(path, noisy, clean)
     n2, c2 = read_cache(path)
-    assert n2.dtype == np.float64
+    assert n2.dtype == c2.dtype == np.float32 and n2.flags.writeable
     np.testing.assert_array_equal(n2, noisy)
     np.testing.assert_array_equal(c2, clean)
 
@@ -417,7 +417,7 @@ def test_read_cache_is_total_under_byte_flips(tmp_path_factory, flips, cut):
         noisy, clean = read_cache(path)
     except McenError:
         return
-    assert noisy.shape == clean.shape and noisy.dtype == clean.dtype == np.float64
+    assert noisy.shape == clean.shape and noisy.dtype == clean.dtype == np.float32
 
 
 def _manifest_fields(data) -> list:

@@ -147,16 +147,20 @@ def float32_owners(path: Path) -> list:
 
 
 def test_one_dtype_and_no_knob_for_it():
-    """The MC passes run in float32 and everything else in float64, with no
-    switch: mc_spectral_stats alone names float32, no config grows a field
-    for it, and the dropout-off pass keeps the float64 reference's bytes."""
+    """The MC passes and the training steps run in float32 and everything
+    else in float64, with no switch: mc_spectral_stats and _fit alone name
+    float32, no config grows a field for it, and the dropout-off pass keeps
+    the float64 reference's bytes."""
     from mcenhance import mcdrop, pipeline
-    from mcenhance.neural import predict
+    from mcenhance.neural import TrainConfig, predict
 
     package = ROOT / "src" / "mcenhance"
     owners = [(path.name, owner) for path in sorted(package.glob("*.py"))
               for owner in float32_owners(path)]
-    assert owners and set(owners) == {("mcdrop.py", "mc_spectral_stats")}
+    assert owners and set(owners) == {("mcdrop.py", "mc_spectral_stats"), ("neural.py", "_fit")}
+    assert [f.name for f in fields(TrainConfig)] == [
+        "learning_rate", "weight_decay", "batch_size", "n_epochs", "rng_seed",
+        "hidden_dims", "keep_prob", "input_norm"]
     assert [f.name for f in fields(mcdrop.McConfig)] == [
         "n_passes", "tau_inv", "prior_length_scale", "rng_seed"]
     assert [f.name for f in fields(pipeline.ExperimentConfig)] == [

@@ -232,6 +232,21 @@ def test_adam_state_shapes_checked():
         adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2)], state, cfg)
 
 
+@pytest.mark.parametrize("odd", ["grad", "first moment", "second moment"])
+@pytest.mark.parametrize("param_dtype, other_dtype", [
+    (np.float32, np.float64), (np.float64, np.float32)])
+def test_adam_step_refuses_a_gradient_or_moment_of_another_dtype(odd, param_dtype, other_dtype):
+    # An in-place m += (1 - b1) * g would cast a float64 gradient into a
+    # float32 moment without a word.
+    p = np.ones(3, dtype=param_dtype)
+    arrays = {name: np.zeros(3, dtype=other_dtype if name == odd else param_dtype)
+              for name in ("grad", "first moment", "second moment")}
+    state = AdamState(m=[arrays["first moment"]], v=[arrays["second moment"]], t=0)
+    with pytest.raises(ShapeMismatch, match=f"{np.dtype(param_dtype)}.*{odd}.*{np.dtype(other_dtype)}"):
+        adam_step([p], [arrays["grad"]], state, TrainConfig())
+    assert p.tolist() == [1.0, 1.0, 1.0]
+
+
 def test_weight_decay_shrinks_params():
     rng = np.random.default_rng(46)
     model = random_model(rng, (4, 8, 4), keep_prob=1.0, weight_decay=0.1)
@@ -338,16 +353,18 @@ def test_dropout_mask_keeps_the_float_masks_nonzero_units(
 
 
 def _float_mask_step(model, X, stream, grad_y):
-    """Test oracle: reference_pass, then backward multiplying by its float
-    masks and gating each ReLU by its pre-activation; the kept-bits
-    training step must match it byte for byte."""
-    y, zs, hiddens, masks = reference_pass(model, X, stream)
+    """Test oracle: reference_pass in the dtype of the model's weights,
+    then backward multiplying by its float masks, gating each ReLU by its
+    pre-activation and flushing each layer's subnormal deltas to zero; the
+    kept-bits training step must match it byte for byte."""
+    y, zs, hiddens, masks = reference_pass(model, X, stream, dtype=model.weights[0].dtype)
     if model.output_activation == "relu":
         delta = grad_y * (zs[-1] > 0)
     else:
         delta = y * (grad_y - np.sum(grad_y * y, axis=1, keepdims=True))
     dweights, dbiases = [None] * len(model.weights), [None] * len(model.weights)
     for l in range(len(model.weights) - 1, -1, -1):
+        delta = delta * (np.abs(delta) >= np.finfo(delta.dtype).tiny)
         dweights[l] = delta.T @ hiddens[l]
         dbiases[l] = delta.sum(axis=0)
         if l > 0:
@@ -358,37 +375,57 @@ def _float_mask_step(model, X, stream, grad_y):
     return y, hiddens, dweights, dbiases
 
 
-@pytest.mark.parametrize("overflow", [False, True])
-def test_training_step_has_the_float_mask_steps_bytes(overflow):
+# Per dtype, layer-0 weight factors that take units to inf, or to a
+# finite value whose 1/keep_prob rescale overflows (float32's largest is
+# 3.4e38).
+_OVERFLOW_FACTORS = {np.float64: (1e308, 1e306), np.float32: (2e38, 2e36)}
+
+
+@pytest.mark.parametrize("overflow, dtype", [
+    (False, np.float64), (True, np.float64), (False, np.float32), (True, np.float32),
+], ids=["False", "True", "False-float32", "True-float32"])
+def test_training_step_has_the_float_mask_steps_bytes(overflow, dtype):
+    """Training's float32 working copy (float32 parameters and rows) takes
+    the same path as a float64 model, in its own dtype; its z-score, which
+    training applies once per fit, runs in float64 before the cast."""
     stream = DropoutStream(seed=3, pass_index=2, row_offset=4)
     for output, zscore, keep_prob in itertools.product(
             ("relu", "softmax"), (False, True), (0.7, 1.0)):
         rng = np.random.default_rng(49)
         model = random_model(rng, (6, 9, 9, 5), output_activation=output,
                              keep_prob=keep_prob)
+        model.weights = [w.astype(dtype) for w in model.weights]
+        model.biases = [b.astype(dtype) for b in model.biases]
         X = rng.uniform(0.0, 1.5, size=(11, 6))
-        grad_y = rng.standard_normal((11, 5))
+        grad_y = rng.standard_normal((11, 5)).astype(dtype)
         if zscore:
             model.input_mean = rng.uniform(0.5, 1.0, size=6)
             model.input_std = rng.uniform(0.5, 2.0, size=6)
+        if dtype is np.float32 and not zscore:
+            X = X.astype(dtype)
         if overflow:
-            # Layer-0 units reach inf, or a finite value whose 1/keep_prob
-            # rescale overflows; a dropped inf unit is inf * 0 = NaN.
-            model.weights[0][::2] *= 1e308
-            model.weights[0][1::2] *= 1e306
+            # A dropped inf unit is inf * 0 = NaN.
+            big, large = _OVERFLOW_FACTORS[dtype]
+            model.weights[0][::2] *= big
+            model.weights[0][1::2] *= large
 
         with np.errstate(all="ignore"):
             y, cache = forward(model, X, stream=stream)
             grads = backward(model, cache, grad_y)
             want_y, want_hiddens, want_dw, want_db = _float_mask_step(model, X, stream, grad_y)
             _, det_cache = forward(model, X)
+            state = init_adam_state(model)
+            adam_step(model.weights + model.biases, grads.dweights + grads.dbiases,
+                      state, TrainConfig(weight_decay=1e-3))
 
+        assert y.dtype == dtype
         assert y.tobytes() == want_y.tobytes()
         assert len(cache.hiddens) == len(want_hiddens)
         for got, want in zip(cache.hiddens, want_hiddens):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(grads.dweights + grads.dbiases, want_dw + want_db):
-            assert got.tobytes() == want.tobytes()
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert {a.dtype for a in state.m + state.v} == {np.dtype(dtype)}
         if keep_prob < 1.0:
             assert [m.dtype for m in cache.masks] == [bool, bool]
         else:
@@ -396,6 +433,39 @@ def test_training_step_has_the_float_mask_steps_bytes(overflow):
         if overflow and keep_prob < 1.0 and not zscore:
             assert np.isnan(cache.hiddens[1]).any() and np.isinf(cache.hiddens[1]).any()
         assert det_cache.masks == [None, None]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backward_flushes_subnormal_deltas_to_zero(dtype):
+    """A GEMM on subnormal operands runs several times slower, and a delta
+    below the smallest normal moves no weight, so each layer's delta is
+    flushed to zero: an output gradient row that small trains as a zero
+    row, and a small normal row whose deltas turn subnormal deeper in
+    follows the oracle's flush at every layer."""
+    rng = np.random.default_rng(59)
+    model = random_model(rng, (6, 9, 9, 5), keep_prob=0.7)
+    model.weights = [w.astype(dtype) for w in model.weights]
+    model.biases = [b.astype(dtype) for b in model.biases]
+    X = rng.uniform(0.5, 1.5, size=(8, 6)).astype(dtype)
+    stream = DropoutStream(seed=4)
+    y, cache = forward(model, X, stream=stream)
+    tiny = np.finfo(dtype).tiny
+    grad_y = rng.standard_normal((8, 5)).astype(dtype)
+    grad_y[4:6] *= tiny / 4
+    zeroed = grad_y.copy()
+    zeroed[4:6] = 0.0
+    got, want = backward(model, cache, grad_y), backward(model, cache, zeroed)
+    for a, b in zip(got.dweights + got.dbiases, want.dweights + want.dbiases):
+        assert a.tobytes() == b.tobytes()
+
+    grad_y[6:] = rng.standard_normal((2, 5)).astype(dtype) * (4 * tiny)
+    got = backward(model, cache, grad_y)
+    _, _, want_dw, want_db = _float_mask_step(model, X, stream, grad_y)
+    for a, b in zip(got.dweights + got.dbiases, want_dw + want_db):
+        assert a.tobytes() == b.tobytes()
+    with np.errstate(under="ignore"):
+        deeper = (grad_y[6:] * (y[6:] > 0)) @ model.weights[-1]
+    assert np.any((deeper != 0) & (np.abs(deeper) < tiny))
 
 
 def test_forward_keep_prob_one_ignores_stream():
@@ -741,3 +811,66 @@ def test_train_config_validation():
         TrainConfig(keep_prob=0.0)
     with pytest.raises(ValueError):
         TrainConfig(input_norm="whiten")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", -1e-3),
+    ("learning_rate", True),
+    ("weight_decay", np.nan), ("weight_decay", -1.0), ("weight_decay", np.inf),
+    ("n_epochs", -1), ("n_epochs", 1.5),
+    ("batch_size", 0), ("batch_size", -4), ("batch_size", 32.0),
+    ("hidden_dims", (0,)), ("hidden_dims", (16, -1)), ("hidden_dims", (8.0,)),
+    ("keep_prob", np.nan), ("keep_prob", 1.5),
+    ("rng_seed", -1), ("rng_seed", 0.5),
+    ("input_norm", "whiten"),
+])
+def test_train_config_refuses_what_would_train_no_loadable_model(field, value):
+    """TrainConfig takes the CLI's rules: NaN rates or decays trained NaN
+    weights that load_model refuses, a negative decay or epoch count
+    trained silently, and a zero batch or width failed deep in the fit."""
+    from mcenhance import pipeline
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+    if field != "rng_seed":  # the CLI's key is seed, from which every rng_seed is derived
+        with pytest.raises(InvalidConfig, match=field):
+            pipeline.make_config(overrides={field: value})
+
+
+def test_train_config_refusals_reach_train_regressor():
+    rng = np.random.default_rng(57)
+    frames = rng.uniform(0.0, 1.0, size=(8, 4))
+    for field, value in (("learning_rate", np.nan), ("weight_decay", np.nan),
+                         ("weight_decay", -1.0), ("n_epochs", -1), ("batch_size", 0),
+                         ("hidden_dims", (0,))):
+        with pytest.raises(ValueError, match=field):
+            train_regressor(frames, frames, TrainConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("trainer", ["regressor", "classifier"])
+@pytest.mark.parametrize("input_dtype", [np.float64, np.float32])
+def test_trained_weights_are_float32_values_stored_as_float64(tmp_path, trainer, input_dtype):
+    """Training runs in float32 and upcasts its weights, exactly, into the
+    float64 model that save_model writes and load_model reads bit for bit."""
+    rng = np.random.default_rng(58)
+    noisy = rng.uniform(0.0, 2.0, size=(90, 7)).astype(input_dtype)
+    clean = rng.uniform(0.0, 2.0, size=(90, 7)).astype(input_dtype)
+    cfg = TrainConfig(n_epochs=2, batch_size=32, hidden_dims=(12, 12), input_norm="zscore")
+    if trainer == "regressor":
+        model, losses = train_regressor(noisy, clean, cfg)
+    else:
+        model, losses = train_classifier(noisy, rng.integers(0, 3, size=90), cfg, n_classes=3)
+    assert all(np.isfinite(losses))
+    params = model.weights + model.biases
+    assert {p.dtype for p in params + [model.input_mean, model.input_std]} == {np.dtype(np.float64)}
+    for p in params:
+        assert np.array_equal(p.astype(np.float32).astype(np.float64), p)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    back = load_model(path)
+    for a, b in zip(params + [model.input_mean, model.input_std],
+                    back.weights + back.biases + [back.input_mean, back.input_std]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # A float64 model reads float32 rows in float64, as before training ran in float32.
+    assert predict(model, noisy).dtype == np.float64
+    assert predict(model, noisy.astype(np.float32)).tobytes() == predict(
+        model, noisy.astype(np.float32).astype(np.float64)).tobytes()
